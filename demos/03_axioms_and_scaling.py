@@ -2,12 +2,12 @@
 identity that separates the homogeneous families from the rest."""
 
 from pncalc import axiom_suite, make_space, serstnev_check
-from pncalc.pnspace import lg_probe, small_scalar_delta_probe
+from pncalc.pnspace import FAMILIES, lg_probe, small_scalar_delta_probe
 
 # -- every built-in pairing satisfies the four axioms --------------------
 
 print("axiom suite over the catalog:")
-for family in ("E9", "E12", "E19", "E19b", "E21", "E25", "E27"):
+for family in FAMILIES:
     space = make_space(family)
     rep = axiom_suite(space)
     print(f"  {space.describe():14s} tau={space.tau.describe():16s}"

@@ -19,7 +19,6 @@ from .distfn import (
     Ratio,
     Step,
     compare_leq,
-    construct,
     distfn_equal,
     eps,
     from_spec,

@@ -19,12 +19,10 @@ import numpy as np
 from .boundedness import (
     all_reals,
     classify_set,
-    compactness_probe,
     convergent_set_bound,
     dbounded_witness,
     finite_set,
     interval_rationals,
-    prob_radius,
 )
 from .distfn import Step, compare_leq, eps, max_tf
 from .pnspace import (
@@ -321,6 +319,3 @@ CRITERIA = (
 def run_all() -> list[CriterionResult]:
     return [fn() for fn in CRITERIA]
 
-
-def run_criterion(number: int) -> CriterionResult:
-    return CRITERIA[number - 1]()

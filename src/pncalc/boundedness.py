@@ -9,19 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distfn import (
-    DPLUS_TOL,
-    EPS_INF,
-    INF,
-    DistFn,
-    Grid,
-    Plateau,
-    Ratio,
-    Step,
-    compare_leq,
-    eps,
-    pointwise_min,
-)
+from .distfn import DPLUS_TOL, DistFn, Grid, Plateau, compare_leq, pointwise_min
 from .pnspace import PNSpace, Vector, as_vector, default_samples, vec_sub
 from .topology import DEFAULT_HORIZON, SequenceSpec, convergence_probe
 from .triangle import conv_plateau
@@ -105,8 +93,8 @@ def prob_radius(space: PNSpace, a: SetSpec) -> DistFn:
     of left-continuous nondecreasing functions is left-continuous, so the
     regularization is the identity).  For the generator kinds the built-in
     families are all radial and nonincreasing in |p|, so the infimum has a
-    closed form: the norm at the supremum magnitude, or the minimal
-    element when magnitudes are unbounded.
+    closed form: the norm at the supremum magnitude, or the family's limit
+    as the magnitude grows when magnitudes are unbounded.
     """
     if a.kind in ("finite", "sequence_image"):
         return pointwise_min([space.norm_of(p) for p in a.members(space.dim)])
@@ -116,9 +104,7 @@ def prob_radius(space: PNSpace, a: SetSpec) -> DistFn:
         m = max(abs(a.lo), abs(a.hi))
         return space.norm_at_magnitude(m)
     # all_reals: magnitudes are unbounded
-    if space.family in ("E9", "E19b"):
-        return eps(1.0)  # thresholds m / (a + m) increase to 1
-    return EPS_INF
+    return space.norm_limit
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ def _task_convolve(cfg: dict) -> dict:
         result = max_tf(lhs, rhs)
     else:
         t = get_tnorm(cfg["tnorm"])
-        result = sup_conv(t, lhs, rhs, grid) if kind == "sup" else inf_conv(t, lhs, rhs, grid)
+        result = sup_conv(t, lhs, rhs) if kind == "sup" else inf_conv(t, lhs, rhs)
     if isinstance(result, LazyConv):
         result = result.materialize(grid)
     return {"result": render_distfn(result)}
@@ -216,10 +216,11 @@ def _task_suite(cfg: dict) -> dict:
     seed = int(cfg["seed"])
     if name == "paper-examples":
         results = acceptance.run_all()
+        # stdout carries only the JSON report
         for r in results:
-            print(r.line())
+            print(r.line(), file=sys.stderr)
         passed = sum(r.passed for r in results)
-        print(f"{passed}/{len(results)} criteria passed")
+        print(f"{passed}/{len(results)} criteria passed", file=sys.stderr)
         return {
             "criteria": [
                 {"number": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
@@ -319,27 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="also write the report to this path")
     sub = parser.add_subparsers(dest="task")
 
-    def add(name, opts):
+    for name, (_, opts) in _TASKS.items():
+        if name == "suite":
+            continue  # takes its name as a positional argument, below
         p = sub.add_parser(name)
         # accept the common options after the subcommand too; SUPPRESS
         # keeps a value parsed before the subcommand from being clobbered
         p.add_argument("--scenario", default=argparse.SUPPRESS)
         p.add_argument("--out", default=argparse.SUPPRESS)
-        for key, default in opts.items():
+        for key in opts:
             p.add_argument(f"--{key}", default=None)
-        return p
-
-    add("convolve", _TASKS["convolve"][1])
-    add("axioms", _TASKS["axioms"][1])
-    add("serstnev", _TASKS["serstnev"][1])
-    add("classify", _TASKS["classify"][1])
-    add("radius", _TASKS["radius"][1])
-    add("converge", _TASKS["converge"][1])
-    add("cauchy", _TASKS["cauchy"][1])
-    add("equiv", _TASKS["equiv"][1])
-    add("find_c", _TASKS["find_c"][1])
-    add("compact", _TASKS["compact"][1])
-    add("lgprobe", _TASKS["lgprobe"][1])
     suite = sub.add_parser("suite")
     suite.add_argument("name", nargs="?", default=None)
     suite.add_argument("--name", dest="name_opt", default=None)

@@ -329,23 +329,6 @@ EPS0 = Step((0.0,), (0.0, 1.0))
 EPS_INF = Step((), (0.0,))
 
 
-def construct(family: str, **params) -> DistFn:
-    """Build a distribution function by family name.
-
-    Families: ``step`` (c), ``plateau`` (gamma), ``ratio`` (beta),
-    ``grid`` (xs, vs).
-    """
-    if family == "step":
-        return eps(float(params["c"]))
-    if family == "plateau":
-        return Plateau(float(params["gamma"]))
-    if family == "ratio":
-        return Ratio(float(params["beta"]))
-    if family == "grid":
-        return Grid(tuple(float(x) for x in params["xs"]), tuple(float(v) for v in params["vs"]))
-    raise ValueError(f"unknown distribution family {family!r}")
-
-
 def from_spec(text: str) -> DistFn:
     """Parse the textual constructor syntax: ``step:<c>``, ``plateau:<g>``,
     ``ratio:<b>``, ``grid:@<path>`` (two-column text, x and value per line)."""
@@ -456,7 +439,7 @@ def levy_dist(f: DistFn, g: DistFn) -> float:
     return hi
 
 
-def pointwise_min(fns, grid: GridSpec = DEFAULT_GRID) -> DistFn:
+def pointwise_min(fns) -> DistFn:
     """Pointwise minimum of finitely many distribution functions.
 
     A finite minimum of left-continuous nondecreasing functions is again
@@ -473,11 +456,11 @@ def pointwise_min(fns, grid: GridSpec = DEFAULT_GRID) -> DistFn:
     steps = [f.as_exact_step() if f.as_exact_step() is not None else f for f in fns]
     if all(isinstance(s, (Step, Grid)) for s in steps):
         return _min_steps(steps)
-    xs = merged_probe_xs(fns[0], fns[1] if len(fns) > 1 else None)
+    xs = merged_probe_xs(fns[0], fns[1])
     allpts = set(xs.tolist())
     for f in fns[2:]:
         allpts.update(float(x) for x in f.probe_xs())
-    allpts.update(grid.points().tolist())
+    allpts.update(DEFAULT_GRID.points().tolist())
     xs = np.array(sorted(p for p in allpts if 0.0 < p < INF))
     vals = np.min(np.vstack([f.eval_many(xs) for f in fns]), axis=0)
     vals = np.maximum.accumulate(vals)

@@ -13,9 +13,14 @@ id          nu_p for p != 0                          (nu_theta = eps(0))
 ``E19``     unit step at ||p||           (base norm l1 / l2 / linf)
 ``E19b``    unit step at ||p|| / (a + ||p||)
 ``E21``     plateau at 1 / (|p| + 2)
-``E25``     ratio with scale |p|^(1/2)   (rational-carrier flag, doc only)
+``E25``     ratio with scale |p|^(1/2)
 ``E27``     unit step at (a + |p|) / a
 ==========  ===========================================================
+
+Everything the code knows about a family (its norm as a function of the
+magnitude, its native triangle-function pair, the parameters it reads
+and the limit of nu_p as the magnitude grows) lives in its ``Family``
+record in ``_FAMILIES``.
 
 The probes report violations as data rather than raising; every checker
 is a pure function of immutable inputs.
@@ -24,12 +29,14 @@ is a pure function of immutable inputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distfn import (
     EPS0,
+    EPS_INF,
     DistFn,
     Plateau,
     Ratio,
@@ -42,13 +49,42 @@ from .triangle import TriangleFn, parse_triangle
 
 Vector = tuple[float, ...]
 
-FAMILIES = ("E9", "E12", "E19", "E19b", "E21", "E25", "E27")
-
 _BASE_NORMS = {
     "l1": lambda p: sum(abs(c) for c in p),
-    "l2": lambda p: math.sqrt(sum(c * c for c in p)),
+    "l2": lambda p: math.hypot(*p),
     "linf": lambda p: max((abs(c) for c in p), default=0.0),
 }
+
+
+@dataclass(frozen=True)
+class Family:
+    """One built-in family of radial norms."""
+
+    #: nu_p for a vector of magnitude m > 0, given the parameter a
+    norm: Callable[[float, float], DistFn]
+    #: native (tau, tau_star) pair, as ``parse_triangle`` specs
+    taus: tuple[str, str]
+    #: whether ``norm`` reads the parameter a (which must then be positive)
+    reads_a: bool = False
+    #: whether the carrier may have dimension above 1 (where the base norm matters)
+    multi_dim: bool = False
+    #: pointwise limit of nu_p as the magnitude grows without bound
+    limit: DistFn = EPS_INF
+
+
+_FAMILIES = {
+    "E9": Family(lambda m, a: eps(m / (a + m)), ("sup:prod", "max"), reads_a=True, limit=eps(1.0)),
+    "E12": Family(lambda m, a: Plateau(math.exp(-math.sqrt(m))), ("sup:prod", "inf:prod")),
+    "E19": Family(lambda m, a: eps(m), ("sup:prod", "max"), multi_dim=True),
+    "E19b": Family(
+        lambda m, a: eps(m / (a + m)), ("sup:prod", "max"), reads_a=True, multi_dim=True, limit=eps(1.0)
+    ),
+    "E21": Family(lambda m, a: Plateau(1.0 / (m + 2.0)), ("sup:lukasiewicz", "sup:min")),
+    "E25": Family(lambda m, a: Ratio(math.sqrt(m)), ("sup:prod", "inf:t2")),
+    "E27": Family(lambda m, a: eps((a + m) / a), ("sup:prod", "max"), reads_a=True),
+}
+
+FAMILIES = tuple(_FAMILIES)
 
 
 def as_vector(p, dim: int) -> Vector:
@@ -81,16 +117,16 @@ class PNSpace:
     tau_star: TriangleFn
     a: float = 1.0
     base_norm: str = "l2"
-    rational_carrier: bool = False
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        fam = _FAMILIES.get(self.family)
+        if fam is None:
             raise ValueError(f"unknown space family {self.family!r}")
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        if self.family in ("E9", "E12", "E21", "E25", "E27") and self.dim != 1:
+        if self.dim != 1 and not fam.multi_dim:
             raise ValueError(f"family {self.family} is one-dimensional")
-        if self.family in ("E9", "E19b", "E27") and not self.a > 0.0:
+        if fam.reads_a and not self.a > 0.0:
             raise ValueError("parameter a must be positive")
         if self.base_norm not in _BASE_NORMS:
             raise ValueError(f"unknown base norm {self.base_norm!r}")
@@ -99,58 +135,34 @@ class PNSpace:
     def zero(self) -> Vector:
         return (0.0,) * self.dim
 
+    @property
+    def norm_limit(self) -> DistFn:
+        """Pointwise limit of nu_p as the magnitude of p grows without bound."""
+        return _FAMILIES[self.family].limit
+
     def magnitude(self, p: Vector) -> float:
         return _BASE_NORMS[self.base_norm](p)
 
     def norm_of(self, p) -> DistFn:
         """The distribution-valued norm of the vector p."""
-        p = as_vector(p, self.dim)
-        if is_zero(p):
-            return EPS0
-        m = self.magnitude(p)
-        if self.family == "E9":
-            return eps(m / (self.a + m))
-        if self.family == "E12":
-            return Plateau(math.exp(-math.sqrt(m)))
-        if self.family == "E19":
-            return eps(m)
-        if self.family == "E19b":
-            return eps(m / (self.a + m))
-        if self.family == "E21":
-            return Plateau(1.0 / (m + 2.0))
-        if self.family == "E25":
-            return Ratio(math.sqrt(m))
-        return eps((self.a + m) / self.a)  # E27
+        return self.norm_at_magnitude(self.magnitude(as_vector(p, self.dim)))
 
     def norm_at_magnitude(self, m: float) -> DistFn:
         """norm_of at any vector of magnitude m >= 0 (all families are radial)."""
         if m == 0.0:
             return EPS0
-        direction = (1.0,) + (0.0,) * (self.dim - 1)
-        scale = m / self.magnitude(direction)
-        return self.norm_of(vec_scale(scale, direction))
+        return _FAMILIES[self.family].norm(m, self.a)
 
     def describe(self) -> str:
+        fam = _FAMILIES[self.family]
         parts = [self.family]
-        if self.family in ("E9", "E19b", "E27"):
+        if fam.reads_a:
             parts.append(f"a={self.a:g}")
-        if self.family in ("E19", "E19b"):
+        if fam.multi_dim:
             parts.append(self.base_norm)
             if self.dim != 1:
                 parts.append(f"dim={self.dim}")
         return ":".join([parts[0], ",".join(parts[1:])]) if len(parts) > 1 else parts[0]
-
-
-_DEFAULT_TAUS = {
-    # (tau, tau_star) pairings matching each family's native quadruple
-    "E9": ("sup:prod", "max"),
-    "E12": ("sup:prod", "inf:prod"),
-    "E19": ("sup:prod", "max"),
-    "E19b": ("sup:prod", "max"),
-    "E21": ("sup:lukasiewicz", "sup:min"),
-    "E25": ("sup:prod", "inf:t2"),
-    "E27": ("sup:prod", "max"),
-}
 
 
 def make_space(
@@ -162,11 +174,11 @@ def make_space(
     tau: TriangleFn | str | None = None,
     tau_star: TriangleFn | str | None = None,
 ) -> PNSpace:
-    if family not in FAMILIES:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown space family {family!r}; choose from {FAMILIES}")
     if dim is None:
         dim = 1
-    d_tau, d_star = _DEFAULT_TAUS[family]
+    d_tau, d_star = _FAMILIES[family].taus
     tau = parse_triangle(tau) if isinstance(tau, str) else (tau or parse_triangle(d_tau))
     tau_star = (
         parse_triangle(tau_star) if isinstance(tau_star, str) else (tau_star or parse_triangle(d_star))
@@ -178,7 +190,6 @@ def make_space(
         tau_star=tau_star,
         a=a,
         base_norm=base_norm,
-        rational_carrier=(family == "E25"),
     )
 
 

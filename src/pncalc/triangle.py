@@ -156,7 +156,7 @@ class LazyConv(DistFn):
         return Grid(tuple(xs.tolist()), tuple(vals.tolist()))
 
 
-def sup_conv(t: TNorm, f: DistFn, g: DistFn, grid: GridSpec = DEFAULT_GRID) -> DistFn:
+def sup_conv(t: TNorm, f: DistFn, g: DistFn) -> DistFn:
     """Sup-convolution of F and G under the t-norm T."""
     if is_eps0(f):
         return g
@@ -168,7 +168,7 @@ def sup_conv(t: TNorm, f: DistFn, g: DistFn, grid: GridSpec = DEFAULT_GRID) -> D
     return LazyConv(t, f, g, maximize=True)
 
 
-def inf_conv(t: TNorm, f: DistFn, g: DistFn, grid: GridSpec = DEFAULT_GRID) -> DistFn:
+def inf_conv(t: TNorm, f: DistFn, g: DistFn) -> DistFn:
     """Inf-convolution of F and G under the conorm dual to T."""
     if is_eps0(f):
         return g
@@ -187,7 +187,6 @@ class TriangleFn:
 
     kind: str  # 'sup' | 'inf' | 'max'
     tnorm: TNorm | None = None
-    grid: GridSpec = DEFAULT_GRID
 
     def __post_init__(self):
         if self.kind not in ("sup", "inf", "max"):
@@ -197,9 +196,9 @@ class TriangleFn:
 
     def __call__(self, f: DistFn, g: DistFn) -> DistFn:
         if self.kind == "sup":
-            return sup_conv(self.tnorm, f, g, self.grid)
+            return sup_conv(self.tnorm, f, g)
         if self.kind == "inf":
-            return inf_conv(self.tnorm, f, g, self.grid)
+            return inf_conv(self.tnorm, f, g)
         return max_tf(f, g)
 
     def describe(self) -> str:
@@ -222,16 +221,16 @@ def conv_plateau(tau: TriangleFn, f: DistFn, g: DistFn) -> float:
     return min(f.plateau, g.plateau)
 
 
-def parse_triangle(text: str, grid: GridSpec = DEFAULT_GRID) -> TriangleFn:
+def parse_triangle(text: str) -> TriangleFn:
     """Parse ``sup:<tnorm>``, ``inf:<tnorm>`` or ``max``."""
     from .tnorms import get_tnorm
 
     if text == "max":
-        return TriangleFn("max", None, grid)
+        return TriangleFn("max")
     kind, _, tn = text.partition(":")
     if kind not in ("sup", "inf") or not tn:
         raise ValueError(f"malformed triangle-function spec {text!r}")
-    return TriangleFn(kind, get_tnorm(tn), grid)
+    return TriangleFn(kind, get_tnorm(tn))
 
 
 def random_step_fn(rng: np.random.Generator, max_jumps: int = 4) -> Step:

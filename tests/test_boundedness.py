@@ -19,7 +19,7 @@ from pncalc.boundedness import (
     sequence_image,
 )
 from pncalc.distfn import EPS0, Ratio, compare_leq, distfn_equal, eps
-from pncalc.pnspace import make_space
+from pncalc.pnspace import FAMILIES, make_space
 from pncalc.topology import SequenceSpec
 
 HARMONIC = SequenceSpec("harmonic")
@@ -36,6 +36,17 @@ def test_radius_of_whole_line_escaping_families():
     for family in ("E19", "E12", "E21", "E25", "E27"):
         r = prob_radius(make_space(family), all_reals())
         assert r.plateau == 0.0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_whole_line_radius_is_the_large_magnitude_limit(family):
+    # the limit is pointwise, not uniform: a step at 2**60 still rises past
+    # 2**60, so the two are compared at fixed abscissae
+    space = make_space(family)
+    xs = np.array([0.5, 1.0, 2.0, 4.0])
+    limit = prob_radius(space, all_reals()).eval_many(xs)
+    far = space.norm_at_magnitude(2.0**60).eval_many(xs)
+    assert np.allclose(far, limit, rtol=0.0, atol=1e-8)
 
 
 def test_radius_of_interval_matches_closed_form():
@@ -127,6 +138,13 @@ def test_zero_singleton_certainly_bounded_everywhere():
         rep = classify_set(make_space(family), finite_set([0.0]))
         assert rep.cls == "certainly_bounded"
         assert rep.witness_x0 == 0.0
+
+
+def test_huge_interval_keeps_its_magnitude():
+    # 1e200 squared overflows; the radius must read the magnitude itself
+    rep = classify_set(make_space("E19"), interval_rationals(0.0, 1e200))
+    assert rep.cls == "certainly_bounded"
+    assert rep.witness_x0 == 1e200
 
 
 def test_classically_bounded_set_in_shifted_step_family():

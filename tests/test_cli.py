@@ -89,6 +89,13 @@ def test_cauchy_subcommand(capsys):
     assert doc["result"]["verdict"] == "not_cauchy"
 
 
+def test_cauchy_past_the_l2_overflow(capsys):
+    # terms pass 2**512, whose square overflows a float
+    doc = run_json(capsys, "cauchy", "--space", "E9:a=1", "--seq", "geometric",
+                   "--lambdas", "0.25", "--horizon", "512")
+    assert doc["result"]["verdict"] == "not_cauchy"
+
+
 def test_equiv_subcommand(capsys):
     doc = run_json(capsys, "equiv", "--a", "E19:l2", "--b", "E19b:a=1,l2")
     assert doc["result"]["equivalent_on_battery"] is True
@@ -231,3 +238,15 @@ def test_laws_suite_clean(capsys):
     doc = run_json(capsys, "suite", "laws", "--seed", "7")
     assert doc["result"]["violations"] == 0
     assert {t["name"] for t in doc["result"]["tnorms"]} == {"min", "prod", "lukasiewicz", "t2"}
+
+
+def _reject_non_finite(name):
+    raise ValueError(f"non-finite number {name} in the report")
+
+
+def test_paper_examples_stdout_is_strict_json(capsys):
+    code, out, err = run_cli(capsys, "suite", "paper-examples")
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_reject_non_finite)
+    assert doc["result"]["passed"] == doc["result"]["total"] == 12
+    assert "12/12 criteria passed" in err

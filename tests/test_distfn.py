@@ -15,7 +15,6 @@ from pncalc.distfn import (
     Ratio,
     Step,
     compare_leq,
-    construct,
     distfn_equal,
     eps,
     from_spec,
@@ -31,7 +30,7 @@ INF = math.inf
 # ------------------------------------------------------------ construction
 
 def test_step_at_zero_is_maximal_element():
-    e0 = construct("step", c=0.0)
+    e0 = from_spec("step:0")
     assert e0.eval(0.0) == 0.0
     assert e0.eval(0.1) == 1.0
     assert e0.eval(-1.0) == 0.0
@@ -45,7 +44,7 @@ def test_plateau_boundary_levels():
 
 
 def test_ratio_closed_form():
-    f = construct("ratio", beta=2.0)
+    f = from_spec("ratio:2")
     assert f.eval(2.0) == pytest.approx(0.5)  # x / (x + 2) at x = 2
     assert f.eval(0.0) == 0.0
     assert f.plateau == 1.0
