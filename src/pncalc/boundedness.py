@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distfn import DPLUS_TOL, DistFn, Grid, Plateau, compare_leq, pointwise_min
+from .distfn import DPLUS_TOL, DistFn, Grid, compare_leq, pointwise_min
 from .pnspace import PNSpace, Vector, as_vector, default_samples, vec_sub
-from .topology import DEFAULT_HORIZON, SequenceSpec, convergence_probe
+from .topology import DEFAULT_HORIZON, SequenceSpec, check_probe_args, convergence_probe
 from .triangle import conv_plateau
 
 CERTAINLY_BOUNDED = "certainly_bounded"
@@ -104,7 +104,7 @@ def prob_radius(space: PNSpace, a: SetSpec) -> DistFn:
         m = max(abs(a.lo), abs(a.hi))
         return space.norm_at_magnitude(m)
     # all_reals: magnitudes are unbounded
-    return space.norm_limit
+    return space.norm_at_magnitude(math.inf)
 
 
 @dataclass(frozen=True)
@@ -130,20 +130,15 @@ class RadiusReport:
 def _attainment_threshold(f: DistFn, level: float) -> float | None:
     """Smallest jump abscissa past which F >= level, for representations
     that attain their plateau at finite arguments; None otherwise."""
-    if isinstance(f, Plateau):
-        return 0.0 if f.gamma >= level else None
-    step = f.as_exact_step()
     if isinstance(f, Grid):
-        for x, v in zip(f.xs, f.vs):
-            if v >= level:
-                return x
-        return None
-    if step is not None:
-        for k, v in enumerate(step.levels):
-            if v >= level:
-                return step.breakpoints[k - 1] if k > 0 else 0.0
-        return None
-    return None  # Ratio never attains its plateau at finite x
+        return next((x for x, v in zip(f.xs, f.vs) if v >= level), None)
+    step = f.as_exact_step()
+    if step is None:
+        return None  # Ratio never attains its plateau at finite x
+    for k, v in enumerate(step.levels):
+        if v >= level:
+            return step.breakpoints[k - 1] if k > 0 else 0.0
+    return None
 
 
 def classify_set(space: PNSpace, a: SetSpec, tol: float = 1e-9) -> RadiusReport:
@@ -312,6 +307,7 @@ def compactness_probe(
     enough that the horizon can resolve it.  No refutation proves
     nothing.
     """
+    check_probe_args((lam,), horizon)
     seq = _default_test_sequence(a, space.dim)
     if seq.kind == "explicit":
         horizon = min(horizon, len(seq.terms))

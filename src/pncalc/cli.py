@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -27,7 +28,7 @@ from .boundedness import (
     sequence_image,
 )
 from .distfn import DistFn, Grid, GridSpec, Plateau, Ratio, Step, from_spec
-from .pnspace import FAMILIES, axiom_suite, lg_probe, make_space, parse_space, serstnev_check
+from .pnspace import FAMILIES, axiom_suite, lg_probe, make_space, parse_space, parse_vectors, serstnev_check
 from .tnorms import TNORMS, get_tnorm, law_suite
 from .topology import (
     DEFAULT_HORIZON,
@@ -50,7 +51,8 @@ REQUIRED = "__required__"
 
 def _round9(obj):
     if isinstance(obj, float):
-        return float(f"{obj:.9g}")
+        # strict JSON has no NaN or Infinity
+        return float(f"{obj:.9g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -66,12 +68,11 @@ def render_distfn(f: DistFn) -> dict:
     if isinstance(f, Ratio):
         return {"family": "ratio", "beta": f.beta}
     if isinstance(f, Grid):
-        head = list(zip(f.xs[:8], f.vs[:8]))
         return {
             "family": "grid",
             "n": len(f.xs),
             "plateau": f.plateau,
-            "head": [[x, v] for x, v in head],
+            "head": [[x, v] for x, v in zip(f.xs[:8], f.vs[:8])],
             "tail": [[f.xs[-1], f.vs[-1]]],
         }
     return {"family": type(f).__name__}
@@ -85,7 +86,7 @@ def _parse_set(text: str, n_samples: int = 200) -> SetSpec:
         lo, hi = (float(v) for v in rest.split(","))
         return interval_rationals(lo, hi, n_samples)
     if kind == "finite" and rest:
-        return finite_set([tuple(float(c) for c in t.split(",")) for t in rest.split(";")])
+        return finite_set(parse_vectors(rest))
     if kind == "seq" and rest:
         return sequence_image(parse_sequence(rest))
     raise UsageError(f"malformed set spec {text!r}")
@@ -161,7 +162,9 @@ def _seq_and_space(cfg: dict):
 
 def _task_converge(cfg: dict) -> dict:
     space, seq = _seq_and_space(cfg)
-    target = tuple(float(c) for c in str(cfg["target"]).split(","))
+    target, *extra = parse_vectors(str(cfg["target"]))
+    if extra:
+        raise UsageError(f"target must be one vector, got {cfg['target']!r}")
     rep = convergence_probe(space, seq, target, _parse_lambdas(cfg["lambdas"]), int(cfg["horizon"]))
     out = rep.to_dict()
     out["verdict"] = "converges" if rep.converges else "diverges"
@@ -187,7 +190,7 @@ def _task_equiv(cfg: dict) -> dict:
 
 def _task_find_c(cfg: dict) -> dict:
     space = parse_space(cfg["space"])
-    basis = [tuple(float(c) for c in t.split(",")) for t in cfg["basis"].split(";")]
+    basis = parse_vectors(cfg["basis"])
     field = parse_space(cfg["field"])
     rep = find_comparison_constant(space, basis, field)
     return {"found": rep.found, "c": rep.c, "coeff_samples": rep.n_samples}
@@ -273,6 +276,20 @@ _TASKS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _fits(key: str, value, default) -> bool:
+    """Whether a scenario value has a type its subcommand flag parses:
+    every key takes a string, numeric keys also a number, and ``lambdas``
+    and ``xs`` also a list of numbers."""
+    if isinstance(value, list):
+        return key in ("lambdas", "xs") and all(map(_is_number, value))
+    numeric = _is_number(default) or key in ("seed", "target", "lambdas", "xs")
+    return isinstance(value, str) or (numeric and _is_number(value))
+
+
 def load_scenario(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -284,12 +301,15 @@ def load_scenario(path: str) -> dict:
     if not isinstance(doc, dict) or "task" not in doc:
         raise UsageError(f"{path}: scenario must be a JSON object with a 'task' key")
     task = doc["task"]
-    if task not in _TASKS:
+    if not isinstance(task, str) or task not in _TASKS:
         raise UsageError(f"{path}: unknown task {task!r}")
     _, defaults = _TASKS[task]
     unknown = sorted(set(doc) - set(defaults) - {"task", "seed"})
     if unknown:
         raise UsageError(f"{path}: unknown scenario key(s) {', '.join(unknown)} for task {task!r}")
+    for key, value in doc.items():
+        if key != "task" and value is not None and not _fits(key, value, defaults.get(key)):
+            raise UsageError(f"{path}: scenario key {key!r} has a value of the wrong type: {value!r}")
     return doc
 
 
@@ -307,7 +327,7 @@ def run_task(task: str, cfg: dict) -> dict:
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(_round9(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_round9(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -357,10 +377,7 @@ def main(argv=None) -> int:
             report = run_task(args.task, cfg)
         _emit(report, args.out)
         return 0
-    except UsageError as exc:
-        print(f"pncalc: error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"pncalc: error: {exc}", file=sys.stderr)
         return 2
 

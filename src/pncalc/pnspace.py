@@ -96,6 +96,12 @@ def as_vector(p, dim: int) -> Vector:
     return v
 
 
+def parse_vectors(text: str) -> tuple[Vector, ...]:
+    """Parse the vector-list syntax ``1,0;0,1``: vectors separated by
+    semicolons, components by commas."""
+    return tuple(tuple(float(c) for c in t.split(",")) for t in text.split(";"))
+
+
 def vec_add(p: Vector, q: Vector) -> Vector:
     return tuple(a + b for a, b in zip(p, q))
 
@@ -135,11 +141,6 @@ class PNSpace:
     def zero(self) -> Vector:
         return (0.0,) * self.dim
 
-    @property
-    def norm_limit(self) -> DistFn:
-        """Pointwise limit of nu_p as the magnitude of p grows without bound."""
-        return _FAMILIES[self.family].limit
-
     def magnitude(self, p: Vector) -> float:
         return _BASE_NORMS[self.base_norm](p)
 
@@ -148,10 +149,12 @@ class PNSpace:
         return self.norm_at_magnitude(self.magnitude(as_vector(p, self.dim)))
 
     def norm_at_magnitude(self, m: float) -> DistFn:
-        """norm_of at any vector of magnitude m >= 0 (all families are radial)."""
+        """norm_of at any vector of magnitude m >= 0 (all families are
+        radial); at m = inf, the limit of nu_p as the magnitude grows."""
         if m == 0.0:
             return EPS0
-        return _FAMILIES[self.family].norm(m, self.a)
+        fam = _FAMILIES[self.family]
+        return fam.limit if m == math.inf else fam.norm(m, self.a)
 
     def describe(self) -> str:
         fam = _FAMILIES[self.family]
@@ -183,14 +186,7 @@ def make_space(
     tau_star = (
         parse_triangle(tau_star) if isinstance(tau_star, str) else (tau_star or parse_triangle(d_star))
     )
-    return PNSpace(
-        family=family,
-        dim=dim,
-        tau=tau,
-        tau_star=tau_star,
-        a=a,
-        base_norm=base_norm,
-    )
+    return PNSpace(family, dim, tau, tau_star, a, base_norm)
 
 
 def parse_space(text: str, tau: str | None = None, tau_star: str | None = None) -> PNSpace:

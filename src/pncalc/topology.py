@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distfn import DistFn, compare_leq
-from .pnspace import PNSpace, Vector, as_vector, vec_scale, vec_sub
+from .pnspace import PNSpace, Vector, as_vector, parse_vectors, vec_scale, vec_sub
 
 DEFAULT_LAMBDAS = (0.5, 0.25, 0.1, 0.05)
 DEFAULT_HORIZON = 64
@@ -70,9 +70,18 @@ def parse_sequence(text: str, dim: int = 1) -> SequenceSpec:
         return SequenceSpec(text, direction)
     kind, _, rest = text.partition(":")
     if kind == "explicit" and rest:
-        terms = tuple(tuple(float(c) for c in t.split(",")) for t in rest.split(";"))
-        return SequenceSpec("explicit", direction, terms)
+        return SequenceSpec("explicit", direction, parse_vectors(rest))
     raise ValueError(f"malformed sequence spec {text!r}")
+
+
+def check_probe_args(lambdas, horizon: int) -> None:
+    """Reject levels outside (0, 1) and a horizon with no term to probe."""
+    if not lambdas:
+        raise ValueError("lambda list must be nonempty")
+    if not all(0.0 < lam < 1.0 for lam in lambdas):
+        raise ValueError("lambda must lie in (0, 1)")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
 
 
 def neighborhood_contains(space: PNSpace, p, q, lam: float) -> bool:
@@ -129,16 +138,13 @@ def convergence_probe(
 ) -> ConvergenceReport:
     """Least N per lambda with the whole tail N..horizon inside the strong
     lambda-neighborhood of the target, or failure with the worst margin."""
-    if not lambdas:
-        raise ValueError("lambda list must be nonempty")
+    check_probe_args(lambdas, horizon)
     target = as_vector(target, space.dim)
     if seq.kind == "explicit":
         horizon = min(horizon, len(seq.terms))
     diffs = [space.norm_of(vec_sub(seq.term(m), target)) for m in range(1, horizon + 1)]
     verdicts = []
     for lam in lambdas:
-        if not (0.0 < lam < 1.0):
-            raise ValueError("lambda must lie in (0, 1)")
         margins = [f.eval(lam) - (1.0 - lam) for f in diffs]
         worst = min(margins)
         last_bad = max((i for i, m in enumerate(margins) if m <= 0.0), default=-1)
@@ -157,8 +163,7 @@ def cauchy_probe(
 ) -> ConvergenceReport:
     """Pairwise tail check: least N with nu_{p_n - p_m}(lambda) > 1 - lambda
     for all N < m < n <= horizon."""
-    if not lambdas:
-        raise ValueError("lambda list must be nonempty")
+    check_probe_args(lambdas, horizon)
     if seq.kind == "explicit":
         horizon = min(horizon, len(seq.terms))
     terms = [seq.term(m) for m in range(1, horizon + 1)]
@@ -168,8 +173,6 @@ def cauchy_probe(
             pair_norms[(i, j)] = space.norm_of(vec_sub(terms[j], terms[i]))
     verdicts = []
     for lam in lambdas:
-        if not (0.0 < lam < 1.0):
-            raise ValueError("lambda must lie in (0, 1)")
         worst = math.inf
         needed = 0
         for (i, j), f in pair_norms.items():

@@ -9,7 +9,10 @@ the inf-convolution under the dual t-conorm,
     tau_S(F, G)(x) = inf_{s+t=x} S(F(s), G(t)),
 
 and the maximal triangle function (pointwise min).  Both convolutions
-have an exact path when the operands are piecewise constant; otherwise
+have an exact path when the operands are piecewise constant: one sweep
+over the sorted sums of jump abscissae, keeping a running max of the
+post-jump T values over the sums below each cell (sup), or a running min
+of the pre-jump S values over the sums at or above it (inf).  Otherwise
 the optimum is searched lazily over a merged candidate set of sample
 points, fixed fractions of x, and breakpoint images.  Materialized
 samples are re-monotonized by a running max to absorb floating-point
@@ -50,45 +53,29 @@ def _probe_array(f: DistFn) -> np.ndarray:
     return np.concatenate([pts, np.nextafter(pts, INF)])
 
 
-def _sup_conv_steps(t: TNorm, a: Step, b: Step) -> Step:
-    # level T(u_i, w_j) becomes reachable once x exceeds b_i + d_j
-    cands: dict[float, float] = {}
-    for i, bi in enumerate(a.breakpoints):
-        ui = a.levels[i + 1]
-        for j, dj in enumerate(b.breakpoints):
-            s = bi + dj
-            v = t(ui, b.levels[j + 1])
-            if v > cands.get(s, 0.0):
-                cands[s] = v
-    sums = sorted(cands)
-    levels = [0.0]
-    run = 0.0
-    for s in sums:
-        run = max(run, cands[s])
+def _conv_steps(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:
+    # sup: T of the levels just after jumps at x and y holds past x + y;
+    # inf: S of the levels just before them holds up to x + y, floored by
+    # min(pF, pG) as pairs with a last interval reach +inf (a pair whose
+    # lower sums miss a cell steps down to one that covers it, with no
+    # larger S).  Negating the inf values turns its running min from the
+    # top into the same max.
+    op, sign, after = (t, 1.0, 1) if maximize else (t.conorm, -1.0, 0)
+    best: dict[float, float] = {}
+    for i, x in enumerate(a.breakpoints):
+        u = a.levels[i + after]
+        for j, y in enumerate(b.breakpoints):
+            s = x + y
+            v = sign * op(u, b.levels[j + after])
+            if v > best.get(s, -1.0):
+                best[s] = v
+    sums = sorted(best)
+    run = 0.0 if maximize else -min(a.plateau, b.plateau)
+    levels = [run]
+    for s in sums if maximize else reversed(sums):
+        run = max(run, best[s])
         levels.append(run)
-    return make_step(sums, levels)
-
-
-def _inf_conv_steps(t: TNorm, a: Step, b: Step) -> Step:
-    # interval i of a step covers (lo_i, hi_i]; a pair of intervals is
-    # reachable exactly on the half-open sum of its windows
-    s = t.conorm
-    alo = (-INF,) + a.breakpoints
-    ahi = a.breakpoints + (INF,)
-    blo = (-INF,) + b.breakpoints
-    bhi = b.breakpoints + (INF,)
-    edges = [-INF] + sorted({bi + dj for bi in a.breakpoints for dj in b.breakpoints}) + [INF]
-    vals = [[s(ua, ub) for ub in b.levels] for ua in a.levels]
-    levels = []
-    for left, right in zip(edges, edges[1:]):
-        best = 1.0
-        for i in range(len(a.levels)):
-            for j in range(len(b.levels)):
-                if alo[i] + blo[j] <= left and ahi[i] + bhi[j] >= right:
-                    if vals[i][j] < best:
-                        best = vals[i][j]
-        levels.append(best)
-    return make_step(edges[1:-1], levels)
+    return make_step(sums, levels if maximize else [-v for v in reversed(levels)])
 
 
 @dataclass(frozen=True)
@@ -156,28 +143,25 @@ class LazyConv(DistFn):
         return Grid(tuple(xs.tolist()), tuple(vals.tolist()))
 
 
-def sup_conv(t: TNorm, f: DistFn, g: DistFn) -> DistFn:
-    """Sup-convolution of F and G under the t-norm T."""
+def _convolve(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn:
     if is_eps0(f):
         return g
     if is_eps0(g):
         return f
     a, b = f.as_exact_step(), g.as_exact_step()
-    if a is not None and b is not None and not isinstance(f, Grid) and not isinstance(g, Grid):
-        return _sup_conv_steps(t, a, b)
-    return LazyConv(t, f, g, maximize=True)
+    if a is not None and b is not None:
+        return _conv_steps(t, a, b, maximize)
+    return LazyConv(t, f, g, maximize)
+
+
+def sup_conv(t: TNorm, f: DistFn, g: DistFn) -> DistFn:
+    """Sup-convolution of F and G under the t-norm T."""
+    return _convolve(t, f, g, maximize=True)
 
 
 def inf_conv(t: TNorm, f: DistFn, g: DistFn) -> DistFn:
     """Inf-convolution of F and G under the conorm dual to T."""
-    if is_eps0(f):
-        return g
-    if is_eps0(g):
-        return f
-    a, b = f.as_exact_step(), g.as_exact_step()
-    if a is not None and b is not None and not isinstance(f, Grid) and not isinstance(g, Grid):
-        return _inf_conv_steps(t, a, b)
-    return LazyConv(t, f, g, maximize=False)
+    return _convolve(t, f, g, maximize=False)
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,17 @@ def test_huge_interval_keeps_its_magnitude():
     assert rep.witness_x0 == 1e200
 
 
+def test_unbounded_interval_takes_the_family_limit():
+    # the norm at an infinite magnitude is the limit as the magnitude grows
+    rep = classify_set(make_space("E9", a=1.0), interval_rationals(0.0, math.inf))
+    assert rep.cls == "certainly_bounded"
+    assert rep.witness_x0 == 1.0
+    for family in ("E12", "E19b", "E21", "E25"):
+        space = make_space(family)
+        rep = classify_set(space, interval_rationals(0.0, math.inf))
+        assert rep.radius == prob_radius(space, all_reals())
+
+
 def test_classically_bounded_set_in_shifted_step_family():
     # thresholds (1 + |p|)/1 cap at 1 + s on |p| <= s
     rep = classify_set(make_space("E27", a=1.0), finite_set([-3.0, 1.0, 3.0]))
@@ -252,6 +263,17 @@ def test_vanishing_norm_forces_bounded_magnitudes():
 
 
 # ------------------------------------------------------------ compactness
+
+def test_compactness_probe_rejects_bad_level_and_empty_horizon():
+    # at level 0 no neighborhood holds a point, so even a finite set would
+    # read as refuted
+    space, aset = make_space("E19"), finite_set([0.0, 0.001])
+    for lam in (0.0, -0.5, 1.0):
+        with pytest.raises(ValueError, match="lambda"):
+            compactness_probe(space, aset, lam=lam)
+    with pytest.raises(ValueError, match="horizon"):
+        compactness_probe(space, aset, horizon=0)
+
 
 def test_geometric_escape_refutes_compactness():
     rep = compactness_probe(make_space("E9", a=1.0), sequence_image(SequenceSpec("geometric")))

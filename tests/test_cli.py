@@ -96,6 +96,12 @@ def test_cauchy_past_the_l2_overflow(capsys):
     assert doc["result"]["verdict"] == "not_cauchy"
 
 
+def test_classify_unbounded_interval(capsys):
+    doc = run_json(capsys, "classify", "--space", "E9:a=1", "--set", "interval:0,inf")
+    assert doc["result"]["class"] == "certainly_bounded"
+    assert doc["result"]["x0"] == 1.0
+
+
 def test_equiv_subcommand(capsys):
     doc = run_json(capsys, "equiv", "--a", "E19:l2", "--b", "E19b:a=1,l2")
     assert doc["result"]["equivalent_on_battery"] is True
@@ -188,6 +194,42 @@ def test_every_task_runs_from_a_scenario(capsys, tmp_path, doc, check):
     assert check(report["result"]), report["result"]
 
 
+@pytest.mark.parametrize("doc,named", [
+    ({"task": "classify", "space": 5, "set": "all_reals"}, "'space'"),
+    ({"task": "cauchy", "space": "E19", "seq": "harmonic", "lambdas": [{}]}, "'lambdas'"),
+    ({"task": "classify", "space": "E19", "set": "all_reals", "samples": True}, "'samples'"),
+    ({"task": ["classify"]}, "['classify']"),
+], ids=["space", "lambdas", "samples", "task"])
+def test_scenario_value_of_wrong_type_rejected(capsys, tmp_path, doc, named):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--scenario", str(path))
+    assert code == 2
+    assert named in err
+    assert out == ""
+
+
+def test_scenario_accepts_numbers_and_lists_where_flags_parse_them(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"task": "converge", "space": "E19", "seq": "harmonic",
+                                "target": 0, "lambdas": [0.25], "horizon": "64"}))
+    doc = run_json(capsys, "--scenario", str(path))
+    assert doc["result"]["per_lambda"][0]["N"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ("converge", "--space", "E19", "--seq", "harmonic"),
+    ("cauchy", "--space", "E19", "--seq", "harmonic"),
+    ("equiv", "--a", "E19", "--b", "E19b:a=1"),
+    ("compact", "--space", "E9:a=1", "--set", "seq:geometric"),
+], ids=lambda argv: argv[0])
+def test_empty_horizon_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--horizon", "0")
+    assert code == 2
+    assert out == ""
+    assert "horizon" in err
+
+
 # ------------------------------------------------------------ determinism
 
 def test_reports_are_byte_stable(capsys, tmp_path):
@@ -250,3 +292,33 @@ def test_paper_examples_stdout_is_strict_json(capsys):
     doc = json.loads(out, parse_constant=_reject_non_finite)
     assert doc["result"]["passed"] == doc["result"]["total"] == 12
     assert "12/12 criteria passed" in err
+
+
+# the README's command lines, and a report whose margin is infinite
+STRICT_JSON_COMMANDS = [
+    "convolve --kind sup --tnorm prod --lhs step:1 --rhs step:2",
+    "axioms --space E12 --tau sup:prod --taustar inf:prod --tol 1e-9",
+    "serstnev --space E9:a=1",
+    "classify --space E25 --set interval:1.4142136,3.1622777 --samples 200",
+    "radius --space E9:a=1 --set all_reals",
+    "converge --space E21 --seq harmonic --target 0 --lambdas 0.5,0.25 --horizon 64",
+    "cauchy --space E9:a=1 --seq geometric --lambdas 0.25",
+    "equiv --a E19:l2 --b E19b:a=1,l2 --battery default",
+    "find_c --space E19:l2,dim=2 --basis 1,0;0,1 --field E19",
+    "compact --space E9:a=1 --set seq:geometric",
+    "lgprobe --space E12",
+    "cauchy --space E9:a=1 --seq explicit:1 --lambdas 0.25",
+]
+
+
+@pytest.mark.parametrize("command", STRICT_JSON_COMMANDS,
+                         ids=[c.split()[0] for c in STRICT_JSON_COMMANDS[:-1]] + ["cauchy-one-term"])
+def test_stdout_is_strict_json(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0, err
+    json.loads(out, parse_constant=_reject_non_finite)
+
+
+def test_infinite_margin_is_written_as_null(capsys):
+    doc = run_json(capsys, "cauchy", "--space", "E9:a=1", "--seq", "explicit:1", "--lambdas", "0.25")
+    assert doc["result"]["per_lambda"][0]["worst_margin"] is None

@@ -9,11 +9,13 @@ from pncalc.distfn import EPS0, Plateau, Ratio, compare_leq, distfn_equal, eps
 from pncalc.pnspace import (
     FAMILIES,
     SampleSpec,
+    _FAMILIES,
     axiom_suite,
     default_samples,
     lg_probe,
     make_space,
     parse_space,
+    parse_vectors,
     random_scalar_triples,
     scalar_monotonicity_check,
     serstnev_check,
@@ -36,6 +38,18 @@ def test_norm_closed_forms():
     big = 2.0**600  # big * big overflows
     assert make_space("E19", dim=2).norm_of((3.0 * big, 4.0 * big)) == eps(5.0 * big)
     assert make_space("E19b", a=1.0).norm_of(1.0) == eps(0.5)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_infinite_magnitude_gives_the_family_limit(family):
+    assert make_space(family).norm_at_magnitude(math.inf) == _FAMILIES[family].limit
+
+
+def test_parse_vectors():
+    assert parse_vectors("1,0;0,1") == ((1.0, 0.0), (0.0, 1.0))
+    assert parse_vectors("0.5") == ((0.5,),)
+    with pytest.raises(ValueError):
+        parse_vectors("1,x")
 
 
 def test_zero_vector_maps_to_maximal_element():

@@ -89,6 +89,15 @@ def test_convergence_rejects_bad_inputs():
         convergence_probe(make_space("E19"), HARMONIC, 0.0, (1.5,), 64)
 
 
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_probes_reject_an_empty_horizon(horizon):
+    # zero terms would otherwise yield a verdict read from nothing
+    with pytest.raises(ValueError, match="horizon"):
+        convergence_probe(make_space("E19"), HARMONIC, 0.0, (0.25,), horizon)
+    with pytest.raises(ValueError, match="horizon"):
+        cauchy_probe(make_space("E19"), HARMONIC, (0.25,), horizon)
+
+
 # ------------------------------------------------------------ cauchy
 
 def test_harmonic_is_cauchy_in_step_space():

@@ -1,5 +1,5 @@
-"""Triangle functions: exact step convolutions against brute-force
-oracles, unit and dominance laws, and the law suite."""
+"""Triangle functions: exact step convolutions against reference kernels
+and brute-force oracles, unit and dominance laws, and the law suite."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 from pncalc.distfn import (
     EPS0,
     EPS_INF,
+    INF,
     Grid,
     Plateau,
     Ratio,
@@ -14,6 +15,7 @@ from pncalc.distfn import (
     compare_leq,
     distfn_equal,
     eps,
+    make_step,
     max_tf,
 )
 from pncalc.tnorms import get_tnorm
@@ -37,6 +39,96 @@ def brute_sup(t, f, g, x, n=4001):
 def brute_inf(t, f, g, x, n=4001):
     ss = np.linspace(0.0, x, n)
     return float(np.min(t.conorm.fn_np(f.eval_many(ss), g.eval_many(x - ss))))
+
+
+# The two step kernels that preceded the single sweep in ``triangle``,
+# kept as references: the sup kernel is a running max over sorted sums,
+# the inf kernel scans every (cell, interval pair) in O(n^4).
+
+def _sup_conv_steps(t, a, b):
+    # level T(u_i, w_j) becomes reachable once x exceeds b_i + d_j
+    cands: dict[float, float] = {}
+    for i, bi in enumerate(a.breakpoints):
+        ui = a.levels[i + 1]
+        for j, dj in enumerate(b.breakpoints):
+            s = bi + dj
+            v = t(ui, b.levels[j + 1])
+            if v > cands.get(s, 0.0):
+                cands[s] = v
+    sums = sorted(cands)
+    levels = [0.0]
+    run = 0.0
+    for s in sums:
+        run = max(run, cands[s])
+        levels.append(run)
+    return make_step(sums, levels)
+
+
+def _inf_conv_steps(t, a, b):
+    # interval i of a step covers (lo_i, hi_i]; a pair of intervals is
+    # reachable exactly on the half-open sum of its windows
+    s = t.conorm
+    alo = (-INF,) + a.breakpoints
+    ahi = a.breakpoints + (INF,)
+    blo = (-INF,) + b.breakpoints
+    bhi = b.breakpoints + (INF,)
+    edges = [-INF] + sorted({bi + dj for bi in a.breakpoints for dj in b.breakpoints}) + [INF]
+    vals = [[s(ua, ub) for ub in b.levels] for ua in a.levels]
+    levels = []
+    for left, right in zip(edges, edges[1:]):
+        best = 1.0
+        for i in range(len(a.levels)):
+            for j in range(len(b.levels)):
+                if alo[i] + blo[j] <= left and ahi[i] + bhi[j] >= right:
+                    if vals[i][j] < best:
+                        best = vals[i][j]
+        levels.append(best)
+    return make_step(edges[1:-1], levels)
+
+
+def _jumps(rng, n):
+    """A step with exactly n jumps at dyadic abscissae (one may sit at 0)."""
+    bps = np.sort(rng.choice(np.arange(0, 257), size=n, replace=False)) / 8.0
+    levels = np.sort(rng.choice(np.arange(1, 65), size=n, replace=False)) / 64.0
+    return make_step(tuple(bps.tolist()), [0.0] + levels.tolist())
+
+
+def _reference_operands():
+    rng = np.random.default_rng(12)
+    edge = [
+        Plateau(0.35),  # a single jump at 0
+        Plateau(0.0),  # exact form is the minimal element
+        EPS_INF,
+        make_step((0.0, 1.5), (0.0, 0.25, 0.75)),
+    ]
+    return edge + [random_step_fn(rng) for _ in range(24)]
+
+
+@pytest.mark.parametrize("name", ["min", "prod", "lukasiewicz", "t2"])
+def test_step_kernel_equals_reference_kernels(name):
+    t = get_tnorm(name)
+    ops = _reference_operands()
+    for f in ops:
+        for g in ops:
+            a, b = f.as_exact_step(), g.as_exact_step()
+            for conv, ref in ((sup_conv, _sup_conv_steps), (inf_conv, _inf_conv_steps)):
+                got, want = conv(t, f, g), ref(t, a, b)
+                assert isinstance(got, Step)
+                assert (got.breakpoints, got.levels) == (want.breakpoints, want.levels), (
+                    conv.__name__, f, g)
+
+
+@pytest.mark.parametrize("name", ["min", "prod", "lukasiewicz", "t2"])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_step_kernel_equals_reference_kernels_at_many_jumps(name, n):
+    t = get_tnorm(name)
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        a, b = _jumps(rng, n), _jumps(rng, n)
+        assert len(a.breakpoints) == len(b.breakpoints) == n
+        for conv, ref in ((sup_conv, _sup_conv_steps), (inf_conv, _inf_conv_steps)):
+            got, want = conv(t, a, b), ref(t, a, b)
+            assert (got.breakpoints, got.levels) == (want.breakpoints, want.levels)
 
 
 # ------------------------------------------------------------ sup path
