@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distfn import DPLUS_TOL, DistFn, Grid, compare_leq, pointwise_min
+from .distfn import DPLUS_TOL, DistFn, compare_leq, pointwise_min
 from .pnspace import PNSpace, Vector, as_vector, default_samples, vec_sub
 from .topology import DEFAULT_HORIZON, SequenceSpec, check_probe_args, convergence_probe
 from .triangle import conv_plateau
@@ -18,6 +18,10 @@ CERTAINLY_BOUNDED = "certainly_bounded"
 PERHAPS_BOUNDED = "perhaps_bounded"
 PERHAPS_UNBOUNDED = "perhaps_unbounded"
 CERTAINLY_UNBOUNDED = "certainly_unbounded"
+
+#: Largest interval sample: the lower-bound witness compares each sample's
+#: norm with the radius, about 25 us apiece
+MAX_SAMPLES = 16384
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,8 @@ class SetSpec:
             raise ValueError("finite set must be nonempty")
         if self.kind == "interval_rationals" and not (self.lo < self.hi):
             raise ValueError("interval must be nondegenerate")
+        if self.kind == "interval_rationals" and not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise ValueError(f"interval samples must lie in [1, {MAX_SAMPLES}], got {self.n_samples}")
         if self.kind == "sequence_image" and self.seq is None:
             raise ValueError("sequence_image needs a sequence")
 
@@ -89,22 +95,22 @@ def prob_radius(space: PNSpace, a: SetSpec) -> DistFn:
     """Probabilistic radius: the left-regularized pointwise infimum of the
     member norms.
 
-    For finite member lists this is the exact pointwise min (a finite min
-    of left-continuous nondecreasing functions is left-continuous, so the
-    regularization is the identity).  For the generator kinds the built-in
-    families are all radial and nonincreasing in |p|, so the infimum has a
-    closed form: the norm at the supremum magnitude, or the family's limit
-    as the magnitude grows when magnitudes are unbounded.
+    The norm is nonincreasing in the magnitude (the contract on
+    ``pnspace.Family``), so the infimum is the norm at the largest
+    magnitude: the largest member magnitude of a finite set or sequence
+    image, max(|lo|, |hi|) for an interval (its rationals approach the
+    ends, and left-regularization makes the limit exact), and the
+    family's limit for the whole line.
     """
-    if a.kind in ("finite", "sequence_image"):
-        return pointwise_min([space.norm_of(p) for p in a.members(space.dim)])
-    if a.kind == "interval_rationals":
+    if a.kind == "all_reals":
+        m = math.inf
+    elif a.kind == "interval_rationals":
         if space.dim != 1:
             raise ValueError("interval sets are one-dimensional")
         m = max(abs(a.lo), abs(a.hi))
-        return space.norm_at_magnitude(m)
-    # all_reals: magnitudes are unbounded
-    return space.norm_at_magnitude(math.inf)
+    else:
+        m = max(space.magnitude(as_vector(p, space.dim)) for p in a.members(space.dim))
+    return space.norm_at_magnitude(m)
 
 
 @dataclass(frozen=True)
@@ -130,8 +136,6 @@ class RadiusReport:
 def _attainment_threshold(f: DistFn, level: float) -> float | None:
     """Smallest jump abscissa past which F >= level, for representations
     that attain their plateau at finite arguments; None otherwise."""
-    if isinstance(f, Grid):
-        return next((x for x, v in zip(f.xs, f.vs) if v >= level), None)
     step = f.as_exact_step()
     if step is None:
         return None  # Ratio never attains its plateau at finite x
@@ -272,6 +276,8 @@ def _default_test_sequence(a: SetSpec, dim: int) -> SequenceSpec:
     if a.kind in ("finite",):
         return SequenceSpec("explicit", (1.0,) + (0.0,) * (dim - 1), a.members(dim))
     if a.kind == "interval_rationals":
+        if not (math.isfinite(a.lo) and math.isfinite(a.hi)):
+            raise ValueError(f"compactness probe needs a bounded interval, got {a.describe()}")
         # terms walk toward an interior point at geometric speed; the 3/4
         # ratio keeps all gaps far above float resolution, so terms stay
         # pairwise distinct through the default horizon

@@ -29,6 +29,10 @@ DPLUS_TOL = 1e-9
 #: Default comparison tolerance when a sampled (Grid) operand is involved.
 GRID_TOL = 1e-6
 
+#: Largest grid: materializing a depth-1 lazy convolution costs about
+#: 10 us per point, so 16384 points take a fraction of a second
+MAX_GRID = 16384
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -41,6 +45,10 @@ class GridSpec:
     n: int = 1024
     x_max: float = 64.0
     x_min_frac: float = 1e-6
+
+    def __post_init__(self):
+        if not 1 <= self.n <= MAX_GRID:
+            raise ValueError(f"grid size must lie in [1, {MAX_GRID}], got {self.n}")
 
     def points(self) -> np.ndarray:
         return np.geomspace(self.x_max * self.x_min_frac, self.x_max, self.n)

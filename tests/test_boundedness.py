@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pncalc.boundedness import (
+    MAX_SAMPLES,
     SetSpec,
     all_reals,
     classify_set,
@@ -18,7 +19,7 @@ from pncalc.boundedness import (
     prob_radius,
     sequence_image,
 )
-from pncalc.distfn import EPS0, Ratio, compare_leq, distfn_equal, eps
+from pncalc.distfn import EPS0, Ratio, compare_leq, distfn_equal, eps, pointwise_min
 from pncalc.pnspace import FAMILIES, make_space
 from pncalc.topology import SequenceSpec
 
@@ -83,6 +84,25 @@ def test_radius_lower_bounds_every_member():
         assert compare_leq(r, space.norm_of(p), 1e-12).holds
 
 
+def test_finite_radius_is_the_pointwise_min_of_member_norms():
+    rng = np.random.default_rng(5)
+    for family in FAMILIES:
+        space = make_space(family)
+        for _ in range(5):
+            members = [float(v) for v in rng.uniform(-20.0, 20.0, int(rng.integers(1, 8)))]
+            r = prob_radius(space, finite_set(members))
+            assert distfn_equal(r, pointwise_min([space.norm_of(p) for p in members]), 0.0), (family, members)
+
+
+def test_adding_the_origin_keeps_a_ratio_set_bounded():
+    space, aset = make_space("E25"), finite_set([0.0, 1.0])
+    rep = classify_set(space, aset)
+    assert rep.cls == "perhaps_bounded"
+    assert rep.radius == Ratio(1.0)
+    wit = dbounded_witness(space, aset)
+    assert wit.found and wit.verified and wit.checked == 2
+
+
 def test_radius_antitone_in_the_set():
     space = make_space("E19")
     small = finite_set([0.5, 1.0])
@@ -102,6 +122,10 @@ def test_set_spec_validation():
         SetSpec("interval_rationals", lo=2.0, hi=1.0)
     with pytest.raises(ValueError):
         SetSpec("bogus")
+    for n in (0, MAX_SAMPLES + 1):
+        with pytest.raises(ValueError, match="interval samples"):
+            interval_rationals(0.0, 1.0, n)
+    assert interval_rationals(0.0, 1.0, MAX_SAMPLES).n_samples == MAX_SAMPLES
 
 
 # ------------------------------------------------------------ classification
@@ -273,6 +297,9 @@ def test_compactness_probe_rejects_bad_level_and_empty_horizon():
             compactness_probe(space, aset, lam=lam)
     with pytest.raises(ValueError, match="horizon"):
         compactness_probe(space, aset, horizon=0)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match=r"bounded interval, got interval_rationals\["):
+            compactness_probe(space, interval_rationals(lo, hi))
 
 
 def test_geometric_escape_refutes_compactness():

@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from pncalc.boundedness import MAX_SAMPLES
 from pncalc.cli import main
+from pncalc.distfn import MAX_GRID
+from pncalc.topology import MAX_HORIZON
 
 
 def run_cli(capsys, *argv):
@@ -228,6 +231,35 @@ def test_empty_horizon_is_a_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "horizon" in err
+
+
+def test_compact_on_an_unbounded_interval_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "compact", "--space", "E9:a=1", "--set", "interval:0,inf")
+    assert code == 2
+    assert out == ""
+    assert "compactness probe needs a bounded interval, got interval_rationals[0,inf]" in err
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the size check")
+
+
+@pytest.mark.parametrize("argv, target, message", [
+    (("cauchy", "--space", "E19", "--seq", "harmonic", "--horizon", str(MAX_HORIZON + 1)),
+     "pncalc.pnspace.PNSpace.norm_of", f"horizon must be <= {MAX_HORIZON}, got {MAX_HORIZON + 1}"),
+    (("compact", "--space", "E9:a=1", "--set", "seq:geometric", "--horizon", str(MAX_HORIZON + 1)),
+     "pncalc.pnspace.PNSpace.norm_of", f"horizon must be <= {MAX_HORIZON}, got {MAX_HORIZON + 1}"),
+    (("convolve", "--lhs", "ratio:1", "--rhs", "ratio:2", "--grid", str(MAX_GRID + 1)),
+     "pncalc.cli.from_spec", f"grid size must lie in [1, {MAX_GRID}], got {MAX_GRID + 1}"),
+    (("classify", "--space", "E25", "--set", "interval:1,2", "--samples", str(MAX_SAMPLES + 1)),
+     "pncalc.cli.classify_set", f"interval samples must lie in [1, {MAX_SAMPLES}], got {MAX_SAMPLES + 1}"),
+], ids=["cauchy-horizon", "compact-horizon", "grid", "samples"])
+def test_size_above_its_bound_is_a_usage_error(capsys, monkeypatch, argv, target, message):
+    monkeypatch.setattr(target, _no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 # ------------------------------------------------------------ determinism

@@ -10,7 +10,9 @@ from hypothesis import given, strategies as st
 from pncalc.distfn import (
     EPS0,
     EPS_INF,
+    MAX_GRID,
     Grid,
+    GridSpec,
     Plateau,
     Ratio,
     Step,
@@ -65,6 +67,10 @@ def test_construct_rejects_bad_params():
         Grid((1.0,), (1.5,))  # value outside [0, 1]
     with pytest.raises(ValueError):
         Step((1.0,), (0.1, 1.0))  # nonzero base level
+    for n in (0, MAX_GRID + 1):
+        with pytest.raises(ValueError, match="grid size"):
+            GridSpec(n=n)
+    assert GridSpec(n=MAX_GRID).n == MAX_GRID
 
 
 def test_from_spec_parsing(tmp_path):

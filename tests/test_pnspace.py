@@ -3,6 +3,7 @@ scalar monotonicity, vanishing at infinity, and the small-scalar probe."""
 
 import math
 
+import numpy as np
 import pytest
 
 from pncalc.distfn import EPS0, Plateau, Ratio, compare_leq, distfn_equal, eps
@@ -10,6 +11,7 @@ from pncalc.pnspace import (
     FAMILIES,
     SampleSpec,
     _FAMILIES,
+    as_vector,
     axiom_suite,
     default_samples,
     lg_probe,
@@ -20,6 +22,7 @@ from pncalc.pnspace import (
     scalar_monotonicity_check,
     serstnev_check,
     small_scalar_delta_probe,
+    vec_scale,
 )
 from pncalc.triangle import parse_triangle
 
@@ -89,10 +92,14 @@ def test_norm_image_properness_split():
 
 
 def test_monotone_in_magnitude():
+    # the contract on Family.norm, from the origin out to the limit
+    magnitudes = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, math.inf)
     for family in FAMILIES:
-        space = make_space(family)
-        for lo, hi in ((0.5, 1.0), (1.0, 4.0), (2.0, 8.0)):
-            assert compare_leq(space.norm_of(hi), space.norm_of(lo), 1e-12).holds
+        for a in (0.5, 1.0, 3.0):
+            space = make_space(family, a=a)
+            for lo, hi in zip(magnitudes, magnitudes[1:]):
+                c = compare_leq(space.norm_at_magnitude(hi), space.norm_at_magnitude(lo), 0.0)
+                assert c.holds, (family, a, lo, hi, c.witness)
 
 
 # ------------------------------------------------------------ axiom suite
@@ -181,6 +188,15 @@ def test_vanishing_at_infinity_contrast():
     assert not lg_probe(make_space("E19b", a=1.0)).has_property
 
 
+def test_vanishing_probe_reads_the_family_limit():
+    # the tail value is the limit itself, not a value at a large magnitude
+    for family in ("E12", "E19", "E21", "E25", "E27"):
+        rep = lg_probe(make_space(family))
+        assert all(v == 0.0 for _, v in rep.tail_values), family
+    rep = lg_probe(make_space("E9", a=1.0))
+    assert rep.tail_values == ((0.5, 0.0), (1.0, 0.0), (2.0, 1.0), (4.0, 1.0))
+
+
 def test_vanishing_for_escaping_thresholds():
     # eps(threshold)(x) drops to 0 once the threshold passes x, and the
     # plateau 1/(|p|+2) falls to 0, so these families all vanish
@@ -221,6 +237,46 @@ def test_strong_tvs_probe_separates_families():
     rep = strong_tvs_probe(make_space("E21"))
     assert not rep.ok
     assert rep.violations
+
+
+def _ladder_delta(space, p, h):
+    """The per-candidate scalar ladder: each delta is vetted at 48 scalars
+    up to delta, with the doubling-then-bisection search written out."""
+    p = as_vector(p, space.dim)
+
+    def ok(delta):
+        alphas = delta * np.linspace(1.0 / 48, 1.0, 48)
+        return all(space.norm_of(vec_scale(float(a), p)).eval(h) > 1.0 - h for a in alphas)
+
+    if not ok(1e-9):
+        return None
+    lo, hi, d = 1e-9, None, 1e-6
+    while d <= 2.0**20:
+        if ok(d):
+            lo = d
+        else:
+            hi = d
+            break
+        d *= 2.0
+    if hi is None:
+        return lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_delta_probe_matches_the_scalar_ladder():
+    for family in FAMILIES:
+        space = make_space(family)
+        for p in (0.5, 4.0):
+            for h in (0.1, 0.5, 0.9):
+                rep = small_scalar_delta_probe(space, p, h)
+                assert rep.delta == _ladder_delta(space, p, h), (family, p, h)
+                assert rep.found == (rep.delta is not None)
 
 
 def test_delta_probe_validates_h():

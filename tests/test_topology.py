@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from pncalc.distfn import compare_leq
 from pncalc.pnspace import make_space
 from pncalc.topology import (
+    MAX_HORIZON,
     SequenceSpec,
     cauchy_probe,
     completeness_probe,
@@ -89,9 +91,10 @@ def test_convergence_rejects_bad_inputs():
         convergence_probe(make_space("E19"), HARMONIC, 0.0, (1.5,), 64)
 
 
-@pytest.mark.parametrize("horizon", [0, -1])
+@pytest.mark.parametrize("horizon", [0, -1, MAX_HORIZON + 1])
 def test_probes_reject_an_empty_horizon(horizon):
-    # zero terms would otherwise yield a verdict read from nothing
+    # zero terms would otherwise yield a verdict read from nothing; past
+    # the bound the work is refused before it starts
     with pytest.raises(ValueError, match="horizon"):
         convergence_probe(make_space("E19"), HARMONIC, 0.0, (0.25,), horizon)
     with pytest.raises(ValueError, match="horizon"):
@@ -112,6 +115,16 @@ def test_geometric_escape_is_not_cauchy():
     v = rep.per_lambda[0]
     assert v.n is None  # thresholds |d|/(1+|d|) >= 0.25 kill every tail
     assert not rep.converges
+
+
+def test_cauchy_verdicts_follow_the_given_lambdas():
+    # one verdict per given lambda, in order and with duplicates, each as
+    # the probe gives it for that lambda alone
+    space, lams = make_space("E19"), (0.25, 0.1, 0.25, 0.5)
+    rep = cauchy_probe(space, HARMONIC, lams, 32)
+    assert tuple(v.lam for v in rep.per_lambda) == lams
+    for v in rep.per_lambda:
+        assert v == cauchy_probe(space, HARMONIC, (v.lam,), 32).per_lambda[0]
 
 
 def test_constant_sequence_is_cauchy_with_n_one():
@@ -245,6 +258,50 @@ def test_comparison_constant_none_when_field_threshold_floors():
     rep = find_comparison_constant(space, [(1.0, 0.0), (0.0, 1.0)], field)
     assert not rep.found
     assert rep.c is None
+
+
+def _per_sample_c(space, basis, field_space, coeff_samples):
+    """The per-sample search: each candidate c is compared with the norm
+    of every sampled combination."""
+    lhs = [
+        space.norm_of(tuple(sum(b * p[i] for b, p in zip(beta, basis)) for i in range(space.dim)))
+        for beta in coeff_samples
+    ]
+
+    def feasible(c):
+        rhs = field_space.norm_of((c,))
+        return all(compare_leq(f, rhs, 0.0).holds for f in lhs)
+
+    if not feasible(1e-12):
+        return None
+    lo, hi, c = 1e-12, None, 1e-6
+    while c <= 2.0**20:
+        if feasible(c):
+            lo = c
+        else:
+            hi = c
+            break
+        c *= 2.0
+    if hi is None:
+        return lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_comparison_constant_matches_the_per_sample_search():
+    samples = default_coeff_samples(2, count=20)
+    for base_norm in ("l1", "l2", "linf"):
+        space = make_space("E19", dim=2, base_norm=base_norm)
+        for basis in ([(1.0, 0.0), (0.0, 1.0)], [(1.0, 2.0), (0.0, 3.0)]):
+            for field in (make_space("E19"), make_space("E19b", a=1.0), make_space("E27", a=0.5)):
+                rep = find_comparison_constant(space, basis, field, samples)
+                assert rep.c == _per_sample_c(space, basis, field, samples), (base_norm, basis, field.family)
+                assert rep.n_samples == len(samples)
 
 
 def test_dependent_basis_rejected():
