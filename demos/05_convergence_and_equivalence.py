@@ -1,6 +1,6 @@
 """Strong-topology probes: convergence and Cauchy verdicts, completeness,
-norm equivalence over a sequence battery, and the finite-dimensional
-comparison constant."""
+norm equivalence decided by the strong-topology class (with a sequence
+battery as evidence), and the finite-dimensional comparison constant."""
 
 import math
 
@@ -46,13 +46,13 @@ for family, seq in (("E19", harm), ("E12", SequenceSpec("geometric_decay"))):
     r = completeness_probe(make_space(family), seq)
     print(f"  {family} / {seq.describe()}: {r.status}", r.limit if r.limit else "")
 
-# -- equivalence over the default battery -----------------------------------
+# -- equivalence: decided by the class, evidenced by the battery -----------
 
 print("\nequivalence experiments:")
-rep = equivalence_probe(e19, make_space("E19b", a=1.0))
-print("  step norms vs saturating steps:", rep.equivalent_on_battery)
-rep = equivalence_probe(e21, e19, battery=[(harm, 0.0)])
-print("  plateau norms vs step norms:", rep.equivalent_on_battery, "| witness:", rep.witness)
+for a, b in ((e19, make_space("E19b", a=1.0)), (make_space("E9", a=1.0), make_space("E12")), (e21, e19)):
+    rep = equivalence_probe(a, b)
+    print(f"  {a.describe()} vs {b.describe()}: {rep.equivalent} ({rep.reason})")
+    print(f"    battery agrees: {rep.equivalent_on_battery} | witness: {rep.witness}")
 
 # -- comparison constant against the scalar field ----------------------------
 

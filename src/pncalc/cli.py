@@ -78,7 +78,7 @@ def render_distfn(f: DistFn) -> dict:
     return {"family": type(f).__name__}
 
 
-def _parse_set(text: str, n_samples: int = 200) -> SetSpec:
+def _parse_set(text: str, n_samples: int, dim: int) -> SetSpec:
     if text == "all_reals":
         return all_reals()
     kind, _, rest = text.partition(":")
@@ -88,7 +88,7 @@ def _parse_set(text: str, n_samples: int = 200) -> SetSpec:
     if kind == "finite" and rest:
         return finite_set(parse_vectors(rest))
     if kind == "seq" and rest:
-        return sequence_image(parse_sequence(rest))
+        return sequence_image(parse_sequence(rest, dim))
     raise UsageError(f"malformed set spec {text!r}")
 
 
@@ -140,7 +140,7 @@ def _task_serstnev(cfg: dict) -> dict:
 
 def _task_classify(cfg: dict) -> dict:
     space = parse_space(cfg["space"])
-    aset = _parse_set(cfg["set"], int(cfg["samples"]))
+    aset = _parse_set(cfg["set"], int(cfg["samples"]), space.dim)
     rep = classify_set(space, aset, tol=float(cfg["tol"]))
     out = rep.to_dict()
     out["radius"] = render_distfn(rep.radius)
@@ -150,7 +150,7 @@ def _task_classify(cfg: dict) -> dict:
 
 def _task_radius(cfg: dict) -> dict:
     space = parse_space(cfg["space"])
-    aset = _parse_set(cfg["set"], int(cfg["samples"]))
+    aset = _parse_set(cfg["set"], int(cfg["samples"]), space.dim)
     return {"set": aset.describe(), "radius": render_distfn(prob_radius(space, aset))}
 
 
@@ -198,7 +198,7 @@ def _task_find_c(cfg: dict) -> dict:
 
 def _task_compact(cfg: dict) -> dict:
     space = parse_space(cfg["space"])
-    aset = _parse_set(cfg["set"], int(cfg["samples"]))
+    aset = _parse_set(cfg["set"], int(cfg["samples"]), space.dim)
     rep = compactness_probe(space, aset, lam=float(cfg["lambda"]), horizon=int(cfg["horizon"]))
     return {"set": aset.describe(), "refuted": rep.refuted, "witness": rep.witness}
 

@@ -19,8 +19,8 @@ id          nu_p for p != 0                          (nu_theta = eps(0))
 
 Everything the code knows about a family (its norm as a function of the
 magnitude, its native triangle-function pair, the parameters it reads
-and the limit of nu_p as the magnitude grows) lives in its ``Family``
-record in ``_FAMILIES``.
+and the limits of nu_p as the magnitude grows and as it shrinks to 0)
+lives in its ``Family`` record in ``_FAMILIES``.
 
 The probes report violations as data rather than raising; every checker
 is a pure function of immutable inputs.
@@ -82,6 +82,9 @@ class Family:
     #: left-continuous (E9 and E19b: the step at 1, which reads 0 at x = 1
     #: although every nu_p reads 1 there)
     limit: DistFn = EPS_INF
+    #: limit of nu_p as the magnitude shrinks to 0, taken left-continuous;
+    #: eps_0 exactly when the strong topology is Euclidean
+    limit0: DistFn = EPS0
 
 
 _FAMILIES = {
@@ -91,9 +94,9 @@ _FAMILIES = {
     "E19b": Family(
         lambda m, a: eps(m / (a + m)), ("sup:prod", "max"), reads_a=True, multi_dim=True, limit=eps(1.0)
     ),
-    "E21": Family(lambda m, a: Plateau(1.0 / (m + 2.0)), ("sup:lukasiewicz", "sup:min")),
+    "E21": Family(lambda m, a: Plateau(1.0 / (m + 2.0)), ("sup:lukasiewicz", "sup:min"), limit0=Plateau(0.5)),
     "E25": Family(lambda m, a: Ratio(math.sqrt(m)), ("sup:prod", "inf:t2")),
-    "E27": Family(lambda m, a: eps((a + m) / a), ("sup:prod", "max"), reads_a=True),
+    "E27": Family(lambda m, a: eps((a + m) / a), ("sup:prod", "max"), reads_a=True, limit0=eps(1.0)),
 }
 
 FAMILIES = tuple(_FAMILIES)
@@ -483,19 +486,12 @@ def small_scalar_delta_probe(space: PNSpace, p, h: float) -> DeltaProbeResult:
     return DeltaProbeResult(delta is not None, delta)
 
 
-def strong_tvs_probe(
-    space: PNSpace,
-    ps=((0.5,), (1.0,), (4.0,)),
-    hs=(0.1, 0.25, 0.5, 0.75),
-) -> LawCheck:
-    """Operational stand-in for the topological-vector-space property:
-    the small-scalar threshold must exist for every sampled (p, h).
-    A probe, not a definition; failures carry the offending pair."""
-    failures = []
-    for p in ps:
-        if is_zero(as_vector(p, space.dim)):
-            continue
-        for h in hs:
-            if not small_scalar_delta_probe(space, p, h).found:
-                failures.append((p, h))
-    return LawCheck(not failures, tuple(failures[:4]))
+def strong_tvs_probe(space: PNSpace) -> LawCheck:
+    """Small enough scalars alpha give nu_{alpha p}(h) > 1 - h for every p
+    and level h exactly when ``limit0`` is eps_0 (the norm is nonincreasing
+    in the magnitude); the strong topology is then Euclidean.  Otherwise
+    some h has limit0(h) <= 1 - h, the h-neighborhood of 0 is {0}, the
+    strong topology is discrete, and the failure carries the record."""
+    limit0 = _FAMILIES[space.family].limit0
+    ok = distfn_equal(limit0, EPS0)
+    return LawCheck(ok, () if ok else (("limit0", limit0),))

@@ -99,6 +99,22 @@ def test_cauchy_past_the_l2_overflow(capsys):
     assert doc["result"]["verdict"] == "not_cauchy"
 
 
+def test_one_term_sequence_is_probed_through_the_horizon(capsys):
+    # the last term repeats, so one term is the constant sequence
+    once = run_json(capsys, "cauchy", "--space", "E9:a=1", "--seq", "explicit:1", "--lambdas", "0.25")
+    twice = run_json(capsys, "cauchy", "--space", "E9:a=1", "--seq", "explicit:1;1", "--lambdas", "0.25")
+    assert once["result"] == twice["result"]
+    assert once["result"]["verdict"] == "cauchy"
+    assert once["result"]["horizon"] == 64
+    assert once["result"]["per_lambda"] == [{"N": 1, "lambda": 0.25, "worst_margin": 0.25}]
+
+
+@pytest.mark.parametrize("task", ["radius", "classify", "compact"])
+def test_sequence_set_takes_the_space_dimension(capsys, task):
+    doc = run_json(capsys, task, "--space", "E19:l2,dim=2", "--set", "seq:harmonic")
+    assert doc["result"]["set"] == "image(harmonic)"
+
+
 def test_classify_unbounded_interval(capsys):
     doc = run_json(capsys, "classify", "--space", "E9:a=1", "--set", "interval:0,inf")
     assert doc["result"]["class"] == "certainly_bounded"
@@ -108,6 +124,14 @@ def test_classify_unbounded_interval(capsys):
 def test_equiv_subcommand(capsys):
     doc = run_json(capsys, "equiv", "--a", "E19:l2", "--b", "E19b:a=1,l2")
     assert doc["result"]["equivalent_on_battery"] is True
+
+
+def test_equiv_decides_past_the_battery_horizon(capsys):
+    # E12's harmonic tail settles at N = 381, past the default horizon
+    doc = run_json(capsys, "equiv", "--a", "E9:a=1", "--b", "E12")
+    assert doc["result"]["equivalent"] is True
+    assert doc["result"]["reason"] == "E9:a=1 is Euclidean-class and E12 is Euclidean-class"
+    assert doc["result"]["equivalent_on_battery"] is False
 
 
 def test_find_c_subcommand(capsys):
@@ -339,7 +363,7 @@ STRICT_JSON_COMMANDS = [
     "find_c --space E19:l2,dim=2 --basis 1,0;0,1 --field E19",
     "compact --space E9:a=1 --set seq:geometric",
     "lgprobe --space E12",
-    "cauchy --space E9:a=1 --seq explicit:1 --lambdas 0.25",
+    "cauchy --space E9:a=1 --seq harmonic --lambdas 0.25 --horizon 1",
 ]
 
 
@@ -352,5 +376,7 @@ def test_stdout_is_strict_json(capsys, command):
 
 
 def test_infinite_margin_is_written_as_null(capsys):
-    doc = run_json(capsys, "cauchy", "--space", "E9:a=1", "--seq", "explicit:1", "--lambdas", "0.25")
+    # one term leaves no pair, so the worst margin is the empty minimum
+    doc = run_json(capsys, "cauchy", "--space", "E9:a=1", "--seq", "harmonic", "--lambdas", "0.25",
+                   "--horizon", "1")
     assert doc["result"]["per_lambda"][0]["worst_margin"] is None

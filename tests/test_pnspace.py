@@ -14,6 +14,7 @@ from pncalc.pnspace import (
     as_vector,
     axiom_suite,
     default_samples,
+    is_zero,
     lg_probe,
     make_space,
     parse_space,
@@ -22,8 +23,10 @@ from pncalc.pnspace import (
     scalar_monotonicity_check,
     serstnev_check,
     small_scalar_delta_probe,
+    strong_tvs_probe,
     vec_scale,
 )
+from pncalc.tnorms import LawCheck
 from pncalc.triangle import parse_triangle
 
 
@@ -46,6 +49,14 @@ def test_norm_closed_forms():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_infinite_magnitude_gives_the_family_limit(family):
     assert make_space(family).norm_at_magnitude(math.inf) == _FAMILIES[family].limit
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_tiny_magnitude_gives_the_family_limit0(family):
+    near_zero = make_space(family).norm_at_magnitude(1e-300)
+    limit0 = _FAMILIES[family].limit0
+    for x in (1e-6, 0.1, 0.5, 0.99, 1.5):
+        assert near_zero.eval(x) == limit0.eval(x), (family, x)
 
 
 def test_parse_vectors():
@@ -228,8 +239,6 @@ def test_delta_probe_none_when_plateau_capped():
 
 
 def test_strong_tvs_probe_separates_families():
-    from pncalc.pnspace import strong_tvs_probe
-
     # Archimedean-paired families admit thresholds at every sampled (p, h)
     for family in ("E19", "E12", "E25"):
         assert strong_tvs_probe(make_space(family)).ok, family
@@ -237,6 +246,30 @@ def test_strong_tvs_probe_separates_families():
     rep = strong_tvs_probe(make_space("E21"))
     assert not rep.ok
     assert rep.violations
+
+
+def _delta_grid_tvs(
+    space,
+    ps=((0.5,), (1.0,), (4.0,)),
+    hs=(0.1, 0.25, 0.5, 0.75),
+):
+    """The sampled stand-in: the small-scalar threshold must exist for
+    every (p, h) of a ps x hs grid."""
+    failures = []
+    for p in ps:
+        if is_zero(as_vector(p, space.dim)):
+            continue
+        for h in hs:
+            if not small_scalar_delta_probe(space, p, h).found:
+                failures.append((p, h))
+    return LawCheck(not failures, tuple(failures[:4]))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
+def test_strong_tvs_probe_matches_the_delta_grid(a):
+    for family in FAMILIES:
+        space = make_space(family, a=a)
+        assert strong_tvs_probe(space).ok == _delta_grid_tvs(space).ok, family
 
 
 def _ladder_delta(space, p, h):

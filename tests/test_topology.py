@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 
 from pncalc.distfn import compare_leq
-from pncalc.pnspace import make_space
+from pncalc.pnspace import FAMILIES, as_vector, make_space, parse_space, vec_sub
 from pncalc.topology import (
+    DEFAULT_HORIZON,
+    DEFAULT_LAMBDAS,
     MAX_HORIZON,
+    ConvergenceReport,
+    LambdaVerdict,
     SequenceSpec,
     cauchy_probe,
+    check_probe_args,
     completeness_probe,
     convergence_probe,
     default_battery,
@@ -149,6 +154,111 @@ def test_convergence_implies_cauchy_on_battery():
                 assert cauchy_probe(space, seq, (lam,), 64).converges, (space.family, lam)
 
 
+def test_one_term_sequence_is_cauchy_like_its_repetition():
+    # an explicit sequence repeats its last term through the horizon
+    space = make_space("E9", a=1.0)
+    once = cauchy_probe(space, SequenceSpec("explicit", terms=((1.0,),)), (0.25,))
+    twice = cauchy_probe(space, SequenceSpec("explicit", terms=((1.0,), (1.0,))), (0.25,))
+    assert once == twice
+    assert once.verdict_at(0.25).n == 1
+    assert once.horizon == DEFAULT_HORIZON
+
+
+# ------------------------------------------------------------ reference scans
+
+def _scan_convergence(space, seq, target, lambdas=DEFAULT_LAMBDAS, horizon=DEFAULT_HORIZON):
+    """The per-term scan: the norm of every term's distance to the target
+    is read at every lambda."""
+    check_probe_args(lambdas, horizon)
+    target = as_vector(target, space.dim)
+    if seq.kind == "explicit":
+        horizon = min(horizon, len(seq.terms))
+    diffs = [space.norm_of(vec_sub(seq.term(m), target)) for m in range(1, horizon + 1)]
+    verdicts = []
+    for lam in lambdas:
+        margins = [f.eval(lam) - (1.0 - lam) for f in diffs]
+        worst = min(margins)
+        last_bad = max((i for i, m in enumerate(margins) if m <= 0.0), default=-1)
+        if last_bad == horizon - 1:
+            verdicts.append(LambdaVerdict(lam, None, worst))
+        else:
+            verdicts.append(LambdaVerdict(lam, last_bad + 2, worst))
+    return ConvergenceReport(tuple(verdicts), horizon)
+
+
+def _pair_scan_cauchy(space, seq, lambdas=DEFAULT_LAMBDAS, horizon=DEFAULT_HORIZON):
+    """The pair scan: the norm of every pair's difference is read at
+    every lambda."""
+    check_probe_args(lambdas, horizon)
+    if seq.kind == "explicit":
+        horizon = min(horizon, len(seq.terms))
+    terms = [seq.term(m) for m in range(1, horizon + 1)]
+    # one pass over the pairs; each pair's norm is read at every lambda
+    # and then dropped, so memory stays O(horizon)
+    worst = [math.inf] * len(lambdas)
+    needed = [0] * len(lambdas)
+    for i in range(horizon):
+        for j in range(i + 1, horizon):
+            f = space.norm_of(vec_sub(terms[j], terms[i]))
+            for k, lam in enumerate(lambdas):
+                margin = f.eval(lam) - (1.0 - lam)
+                worst[k] = min(worst[k], margin)
+                if margin <= 0.0:
+                    needed[k] = i + 1  # N must exclude index i+1 (1-based); i only grows
+    verdicts = tuple(
+        LambdaVerdict(lam, None if n >= horizon - 1 else max(n, 1), w)
+        for lam, w, n in zip(lambdas, worst, needed)
+    )
+    return ConvergenceReport(verdicts, horizon)
+
+
+def _uncut(seq, horizon):
+    """The same sequence with its last term listed through the horizon,
+    so that the scans' cut to the listed terms keeps the whole horizon."""
+    if seq.kind != "explicit" or len(seq.terms) >= horizon:
+        return seq
+    return SequenceSpec("explicit", seq.direction, seq.terms + seq.terms[-1:] * (horizon - len(seq.terms)))
+
+
+SCAN_SEQUENCES = (
+    HARMONIC,
+    GEOMETRIC,
+    DECAY,
+    SequenceSpec("explicit", terms=((1.0,),)),
+    SequenceSpec("explicit", terms=((2.0,), (-0.5,), (0.3,), (0.3,), (0.02,), (-0.01,))),
+)
+# duplicates included; 0.01 and 0.9 reach past and short of every default level
+SCAN_LAMBDAS = (0.5, 0.25, 0.1, 0.25, 0.05, 0.01, 0.9)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 64, 512])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_probes_match_the_scans(family, horizon):
+    space = make_space(family)
+    for seq in SCAN_SEQUENCES:
+        ref = _uncut(seq, horizon)
+        for target in (0.0, 1.0):
+            got = convergence_probe(space, seq, target, SCAN_LAMBDAS, horizon)
+            assert got == _scan_convergence(space, ref, target, SCAN_LAMBDAS, horizon), (seq, target)
+        got = cauchy_probe(space, seq, SCAN_LAMBDAS, horizon)
+        assert got == _pair_scan_cauchy(space, ref, SCAN_LAMBDAS, horizon), seq
+
+
+@pytest.mark.parametrize("spec", ["E19:l1,dim=2", "E19:l2,dim=2"])
+def test_probes_match_the_scans_in_the_plane(spec):
+    space = parse_space(spec)
+    spiral = tuple((math.cos(m) / m, math.sin(m) / m) for m in range(1, 41))
+    sequences = (SequenceSpec("harmonic", (1.0, -2.0)), SequenceSpec("explicit", (1.0, 0.0), spiral))
+    for seq in sequences:
+        for horizon in (1, 2, 64):
+            ref = _uncut(seq, horizon)
+            for target in ((0.0, 0.0), (0.5, -0.5)):
+                got = convergence_probe(space, seq, target, SCAN_LAMBDAS, horizon)
+                assert got == _scan_convergence(space, ref, target, SCAN_LAMBDAS, horizon), (seq.kind, target)
+            got = cauchy_probe(space, seq, SCAN_LAMBDAS, horizon)
+            assert got == _pair_scan_cauchy(space, ref, SCAN_LAMBDAS, horizon), (seq.kind, horizon)
+
+
 # ------------------------------------------------------------ completeness
 
 def test_completeness_statuses():
@@ -200,6 +310,24 @@ def test_equivalence_reflexive_and_symmetric():
         equivalence_probe(a, b).equivalent_on_battery
         == equivalence_probe(b, a).equivalent_on_battery
     )
+
+
+EUCLIDEAN = ("E9", "E12", "E19", "E19b", "E25")
+
+
+def test_equivalence_is_decided_by_the_topology_class():
+    for i, fa in enumerate(FAMILIES):
+        for fb in FAMILIES[i + 1:]:
+            rep = equivalence_probe(make_space(fa), make_space(fb))
+            assert rep.equivalent == ((fa in EUCLIDEAN) == (fb in EUCLIDEAN)), (fa, fb)
+            assert "Euclidean" in rep.reason or "discrete" in rep.reason
+    # the battery's horizon cannot see these tails settle; the class can
+    for fa, fb in (("E9", "E12"), ("E9", "E25"), ("E12", "E19"), ("E12", "E19b"), ("E19", "E25"), ("E19b", "E25")):
+        rep = equivalence_probe(make_space(fa), make_space(fb))
+        assert rep.equivalent and not rep.equivalent_on_battery, (fa, fb)
+    for fa in ("E21", "E27"):
+        for fb in EUCLIDEAN:
+            assert not equivalence_probe(make_space(fa), make_space(fb)).equivalent, (fa, fb)
 
 
 def test_equivalence_requires_matching_dimension():
