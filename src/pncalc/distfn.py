@@ -29,8 +29,9 @@ DPLUS_TOL = 1e-9
 #: Default comparison tolerance when a sampled (Grid) operand is involved.
 GRID_TOL = 1e-6
 
-#: Largest grid: materializing a depth-1 lazy convolution costs about
-#: 10 us per point, so 16384 points take a fraction of a second
+#: Largest grid: materializing a depth-1 lazy convolution of two Ratio
+#: operands costs about 5 us per point (10 us under t2), so 16384 points
+#: take under 0.2 s (on a 2-CPU x86 host)
 MAX_GRID = 16384
 
 
@@ -58,6 +59,7 @@ DEFAULT_GRID = GridSpec()
 
 #: slimmer geometric fill used by comparisons to resolve smooth operands
 COMPARE_FILL = GridSpec(n=192)
+_COMPARE_FILL_XS = tuple(COMPARE_FILL.points().tolist())
 
 
 class DistFn:
@@ -216,6 +218,10 @@ class Plateau(DistFn):
         return make_step((0.0,), (0.0, self.gamma))
 
 
+#: probe ladder of Ratio(1); Ratio(beta) probes beta times it
+_RATIO_LADDER = np.geomspace(1e-3, 1e3, 25)
+
+
 @dataclass(frozen=True)
 class Ratio(DistFn):
     """F(x) = x / (x + beta) for x > 0; strictly increasing with plateau 1."""
@@ -241,7 +247,7 @@ class Ratio(DistFn):
         return Ratio(self.beta * a)
 
     def probe_xs(self) -> tuple[float, ...]:
-        return tuple(self.beta * np.geomspace(1e-3, 1e3, 25))
+        return tuple(self.beta * _RATIO_LADDER)
 
     @property
     def has_continuous_part(self) -> bool:
@@ -385,7 +391,7 @@ def merged_probe_xs(f: DistFn, g: DistFn | None = None, extra=()) -> np.ndarray:
         pts.update(float(x) for x in fn.probe_xs())
     pts.update(float(x) for x in extra)
     if any(fn.has_continuous_part for fn in fns):
-        pts.update(COMPARE_FILL.points().tolist())
+        pts.update(_COMPARE_FILL_XS)
     base = sorted(p for p in pts if p >= 0.0 and not math.isinf(p))
     mids = [(a + b) / 2.0 for a, b in zip(base, base[1:])]
     tail = base[-1] if base else 0.0

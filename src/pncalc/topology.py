@@ -50,7 +50,10 @@ class SequenceSpec:
         if self.kind == "harmonic":
             return vec_scale(1.0 / m, self.direction)
         if self.kind == "geometric":
-            return vec_scale(2.0**m, self.direction)
+            try:
+                return vec_scale(2.0**m, self.direction)
+            except OverflowError:
+                raise ValueError(f"geometric term {m}: 2^{m} exceeds the float range") from None
         return vec_scale(2.0**-m, self.direction)
 
     def classical_limit(self) -> Vector | None:

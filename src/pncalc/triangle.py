@@ -14,9 +14,13 @@ over the sorted sums of jump abscissae, keeping a running max of the
 post-jump T values over the sums below each cell (sup), or a running min
 of the pre-jump S values over the sums at or above it (inf).  Otherwise
 the optimum is searched lazily over a merged candidate set of sample
-points, fixed fractions of x, and breakpoint images.  Materialized
-samples are re-monotonized by a running max to absorb floating-point
-wobble.
+points, fixed fractions of x, and breakpoint images.  The lazy search
+runs over the abscissae in row blocks of about ``_BLOCK`` candidates, so
+each nesting level holds a bounded number of values, and reads the left
+operand once per evaluation at its own probe points: a nested chain
+evaluates its inner convolutions at about half the points a full
+candidate matrix would.  Materialized samples are re-monotonized by a
+running max to absorb floating-point wobble.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ from .distfn import EPS0
 from .tnorms import LawCheck, TNorm
 
 _FRACTIONS = np.linspace(0.0, 1.0, 17)
+
+#: candidate values per row block of a lazy evaluation, so that each
+#: nesting level holds O(_BLOCK) values whatever the number of points
+_BLOCK = 1 << 16
 
 
 def _probe_array(f: DistFn) -> np.ndarray:
@@ -101,20 +109,28 @@ class LazyConv(DistFn):
 
     def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        col = xs[:, None]
-        blocks = [col * _FRACTIONS[None, :]]
         pf = _probe_array(self.f)
-        if pf.size:
-            blocks.append(np.broadcast_to(pf[None, :], (xs.size, pf.size)))
         pg = _probe_array(self.g)
-        if pg.size:
-            blocks.append(col - np.concatenate([pg, np.nextafter(pg, -INF)])[None, :])
-        ss = np.clip(np.concatenate(blocks, axis=1), 0.0, col)
-        fv = self.f.eval_many(ss.ravel()).reshape(ss.shape)
-        gv = self.g.eval_many((col - ss).ravel()).reshape(ss.shape)
+        pg = np.concatenate([pg, np.nextafter(pg, -INF)])
+        # the split at pf[k] is min(pf[k], x), so F there is F(pf[k]) or,
+        # past x, F(x): the fraction 1.0 column, as x * 1.0 == x
+        fpf = self.f.eval_many(pf)
         op = self.tnorm.fn_np if self.maximize else self.tnorm.conorm.fn_np
-        vals = op(fv, gv)
-        out = vals.max(axis=1) if self.maximize else vals.min(axis=1)
+        reduce = np.max if self.maximize else np.min
+        rows = max(1, _BLOCK // (_FRACTIONS.size + pf.size + pg.size))
+        out = np.empty(xs.shape)
+        for i in range(0, xs.size, rows):
+            col = xs[i:i + rows, None]
+            ss = np.clip(np.concatenate([col * _FRACTIONS, col - pg], axis=1), 0.0, col)
+            fv = self.f.eval_many(ss)
+            fx = fv[:, _FRACTIONS.size - 1, None]
+            sf = np.clip(pf, 0.0, col)
+            vals = np.concatenate(
+                [op(fv, self.g.eval_many(col - ss)),
+                 op(np.where(pf <= col, fpf, fx), self.g.eval_many(col - sf))],
+                axis=1,
+            )
+            out[i:i + rows] = reduce(vals, axis=1)
         return np.clip(out, 0.0, 1.0)
 
     @property

@@ -99,6 +99,16 @@ def test_cauchy_past_the_l2_overflow(capsys):
     assert doc["result"]["verdict"] == "not_cauchy"
 
 
+@pytest.mark.parametrize("task", ["cauchy", "converge"])
+def test_geometric_term_past_the_float_range_is_a_usage_error(capsys, task):
+    # 2^1024 is the first geometric term a float cannot hold
+    code, out, err = run_cli(capsys, task, "--space", "E9:a=1", "--seq", "geometric",
+                             "--lambdas", "0.25", "--horizon", "1100")
+    assert code == 2
+    assert out == ""
+    assert "geometric term 1024: 2^1024 exceeds the float range" in err
+
+
 def test_one_term_sequence_is_probed_through_the_horizon(capsys):
     # the last term repeats, so one term is the constant sequence
     once = run_json(capsys, "cauchy", "--space", "E9:a=1", "--seq", "explicit:1", "--lambdas", "0.25")

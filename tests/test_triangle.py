@@ -1,8 +1,15 @@
-"""Triangle functions: exact step convolutions against reference kernels
-and brute-force oracles, unit and dominance laws, and the law suite."""
+"""Triangle functions: exact step convolutions and the lazy kernel against
+reference kernels and brute-force oracles, unit and dominance laws, and
+the law suite."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import pncalc
 
 from pncalc.distfn import (
     EPS0,
@@ -20,8 +27,11 @@ from pncalc.distfn import (
 )
 from pncalc.tnorms import get_tnorm
 from pncalc.triangle import (
+    _BLOCK,
+    _FRACTIONS,
     LazyConv,
     TriangleFn,
+    _probe_array,
     conv_plateau,
     inf_conv,
     parse_triangle,
@@ -332,6 +342,110 @@ def test_exact_and_lazy_paths_agree_on_random_steps():
 
 def _conv_exact(t, f, g, maximize):
     return sup_conv(t, f, g) if maximize else inf_conv(t, f, g)
+
+
+# The lazy kernel that preceded the row blocks, kept as the reference: it
+# builds the whole rows x candidates matrix and reads F at every candidate.
+
+def _lazy_reference_kernel(self, xs):
+    xs = np.asarray(xs, dtype=float)
+    col = xs[:, None]
+    blocks = [col * _FRACTIONS[None, :]]
+    pf = _probe_array(self.f)
+    if pf.size:
+        blocks.append(np.broadcast_to(pf[None, :], (xs.size, pf.size)))
+    pg = _probe_array(self.g)
+    if pg.size:
+        blocks.append(col - np.concatenate([pg, np.nextafter(pg, -INF)])[None, :])
+    ss = np.clip(np.concatenate(blocks, axis=1), 0.0, col)
+    fv = self.f.eval_many(ss.ravel()).reshape(ss.shape)
+    gv = self.g.eval_many((col - ss).ravel()).reshape(ss.shape)
+    op = self.tnorm.fn_np if self.maximize else self.tnorm.conorm.fn_np
+    vals = op(fv, gv)
+    out = vals.max(axis=1) if self.maximize else vals.min(axis=1)
+    return np.clip(out, 0.0, 1.0)
+
+
+def _lazy_reference_in_rows(self, xs):
+    # rows are independent in the reference, so feeding it 256 at a time
+    # keeps its values and bounds its memory at depth 3
+    parts = [_lazy_reference_kernel(self, xs[i:i + 256]) for i in range(0, xs.size, 256)]
+    return np.concatenate(parts)
+
+
+def _on_reference(monkeypatch, run):
+    # the reference replaces the kernel at every nesting level
+    with monkeypatch.context() as m:
+        m.setattr(LazyConv, "_eval_pos_many", _lazy_reference_in_rows)
+        return run()
+
+
+_GRID = Grid((0.3, 0.5, 1.0, 2.5), (0.1, 0.3, 0.9, 0.95))
+_LAZY_PAIRS = {
+    "ratio-ratio": (Ratio(0.7), Ratio(1.3)),
+    "ratio-plateau": (Ratio(0.7), Plateau(0.6)),
+    "grid-ratio": (_GRID, Ratio(1.3)),
+    "step-ratio": (eps(1.0), Ratio(1.3)),
+    "plateau-grid": (Plateau(0.6), _GRID),
+}
+# more rows than three blocks hold for any operands, so the seams are crossed
+_LONG = np.geomspace(1e-3, 64.0, 3 * (_BLOCK // _FRACTIONS.size) + 100)
+
+
+def _lazy_xs(f, g):
+    """A tiny abscissa, the operands' exact probe points and the long
+    geometric set, in that order."""
+    probes = sorted({float(p) for p in f.probe_xs() + g.probe_xs() if p > 0.0})
+    return np.concatenate([[1e-300], probes, _LONG])
+
+
+@pytest.mark.parametrize("maximize", [True, False], ids=["sup", "inf"])
+@pytest.mark.parametrize("name", ["min", "prod", "lukasiewicz", "t2"])
+def test_lazy_kernel_equals_reference_kernel(monkeypatch, name, maximize):
+    t = get_tnorm(name)
+    for label, (f, g) in _LAZY_PAIRS.items():
+        d1 = LazyConv(t, f, g, maximize)
+        xs = _lazy_xs(f, g)
+        cases = {
+            "depth 1": (d1, xs),
+            "depth 2 left": (LazyConv(t, d1, Ratio(2.1), maximize), xs[:24]),
+            "depth 2 right": (LazyConv(t, Ratio(2.1), d1, maximize), xs[:24]),
+            "depth 3 left": (LazyConv(t, LazyConv(t, d1, Ratio(2.1), maximize), Ratio(0.4), maximize),
+                             np.array([0.9, 3.7])),
+        }
+        for depth, (r, pts) in cases.items():
+            got = r.eval_many(pts)
+            want = _on_reference(monkeypatch, lambda: r.eval_many(pts))
+            assert np.array_equal(got, want), (label, depth)
+        got = d1.materialize()
+        assert got.vs == _on_reference(monkeypatch, d1.materialize).vs, label
+        for other in (Ratio(2.0), Plateau(0.5)):
+            for a, b in ((d1, other), (other, d1)):
+                assert compare_leq(a, b) == _on_reference(monkeypatch, lambda: compare_leq(a, b)), label
+
+
+_DEPTH3_UNDER_512MB = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+import numpy as np
+from pncalc.distfn import Ratio
+from pncalc.tnorms import get_tnorm
+from pncalc.triangle import sup_conv
+t = get_tnorm("min")
+r = sup_conv(t, sup_conv(t, sup_conv(t, Ratio(0.7), Ratio(1.3)), Ratio(2.1)), Ratio(0.4))
+xs = np.geomspace(0.5, 8.0, 16)
+# under min the betas add, and the sup path never overestimates
+assert np.all(r.eval_many(xs) <= xs / (xs + 4.5) + 1e-12)
+"""
+
+
+def test_depth3_chain_evaluates_16_points_in_512mb():
+    # the address-space limit is set in the child only
+    src = os.path.dirname(os.path.dirname(pncalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _DEPTH3_UNDER_512MB], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_grid_operands_take_sampled_path():
