@@ -1,5 +1,6 @@
 """Probabilistic radius and the four-way boundedness classification,
-with lower-bound witnesses and the convergent-sequence construction."""
+with lower-bound witnesses, the convergent-sequence construction and the
+compactness decision."""
 
 import math
 
@@ -54,12 +55,16 @@ for family, lam in (("E19", 0.25), ("E25", 0.5), ("E21", 0.25)):
     label = rep.h if rep.succeeded else rep.status
     print(f"bound for the harmonic image in {family}: {label}")
 
-# -- compactness refutations ----------------------------------------------
+# -- compactness is decided: exactly the finite sets are compact ----------
+# (the whole line is D-bounded in E9, as above, yet not compact)
 
-print("\ncompactness refutations:")
-print("  powers of two over the line:",
-      compactness_probe(e9, sequence_image(SequenceSpec("geometric"))).refuted)
-print("  rational interval at level 1e-3:",
-      compactness_probe(make_space("E25"), iv, lam=1e-3).refuted)
-print("  harmonic image with its limit as candidate:",
-      compactness_probe(make_space("E19"), sequence_image(harm), candidate_limits=[0.0]).refuted)
+print("\ncompactness:")
+for family, aset in (
+    ("E9", sequence_image(SequenceSpec("geometric"))),
+    ("E9", all_reals()),
+    ("E25", iv),
+    ("E19", sequence_image(harm)),
+    ("E27", finite_set([-1.0, 0.0, 1.0])),
+):
+    rep = compactness_probe(make_space(family), aset)
+    print(f"  compact={rep.compact}: {rep.reason}")

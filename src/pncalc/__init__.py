@@ -4,7 +4,7 @@ Submodules: ``distfn`` (distribution-function algebra), ``tnorms``
 (t-norms and conorms), ``triangle`` (sup/inf convolutions and the maximal
 triangle function), ``pnspace`` (built-in spaces and axiom probes),
 ``topology`` (strong-topology probes), ``boundedness`` (radius,
-classification, compactness refutation), ``cli`` (scenario runner).
+classification, compactness decision), ``cli`` (scenario runner).
 """
 
 from .distfn import (

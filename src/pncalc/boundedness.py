@@ -1,6 +1,13 @@
 """Probabilistic radius, four-way boundedness classification, lower-bound
-witnesses, the convergent-sequence bound construction, and a refutation
-probe for distributional compactness."""
+witnesses, the convergent-sequence bound construction, and the decided
+compactness of each set kind.
+
+Each set kind states its geometry over the whole set in one place,
+``SetSpec.geometry``: its largest member magnitude and whether it is
+finite.  The radius is the norm at that magnitude (every built-in norm
+is nonincreasing in it), and the set is compact exactly when it is
+finite.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +18,7 @@ import numpy as np
 
 from .distfn import DPLUS_TOL, DistFn, compare_leq, pointwise_min
 from .pnspace import PNSpace, Vector, as_vector, default_samples, vec_sub
-from .topology import DEFAULT_HORIZON, SequenceSpec, check_probe_args, convergence_probe
+from .topology import DEFAULT_HORIZON, SequenceSpec, convergence_probe, strong_topology_class
 from .triangle import conv_plateau
 
 CERTAINLY_BOUNDED = "certainly_bounded"
@@ -35,7 +42,7 @@ class SetSpec:
     hi: float = 0.0
     n_samples: int = 200
     seq: SequenceSpec | None = None
-    horizon: int = DEFAULT_HORIZON
+    horizon: int = DEFAULT_HORIZON  # terms of a generator image that ``members`` samples
 
     def __post_init__(self):
         if self.kind not in ("finite", "all_reals", "interval_rationals", "sequence_image"):
@@ -49,11 +56,38 @@ class SetSpec:
         if self.kind == "sequence_image" and self.seq is None:
             raise ValueError("sequence_image needs a sequence")
 
+    def geometry(self, space: PNSpace) -> tuple[float, bool]:
+        """The largest member magnitude in ``space`` and whether the set is
+        finite, over the whole set.
+
+        A finite set or an explicit image has its largest listed
+        magnitude.  The rationals in [lo, hi] approach max(|lo|, |hi|).
+        The whole line and the geometric image are unbounded.  A harmonic
+        or geometric-decay image shrinks from its first term.  A generator
+        image with a zero direction is {0}.
+        """
+        if self.kind == "all_reals":
+            return math.inf, False
+        if self.kind == "interval_rationals":
+            if space.dim != 1:
+                raise ValueError("interval sets are one-dimensional")
+            return max(abs(self.lo), abs(self.hi)), False
+        if self.kind == "finite" or self.seq.kind == "explicit":
+            return max(space.magnitude(as_vector(p, space.dim)) for p in self.members(space.dim)), True
+        first = space.magnitude(as_vector(self.seq.term(1), space.dim))
+        if first == 0.0:
+            return 0.0, True
+        return (math.inf if self.seq.kind == "geometric" else first), False
+
     def members(self, dim: int = 1) -> tuple[Vector, ...]:
-        """Enumerated (finite kinds) or sampled (interval) members."""
+        """The members of a finite set or an explicit image; a sample of
+        the others: the interval's ``n_samples`` evenly spaced points, the
+        first ``horizon`` terms of a generator image."""
         if self.kind == "finite":
             return tuple(as_vector(v, dim) for v in self.vectors)
         if self.kind == "sequence_image":
+            if self.seq.kind == "explicit":
+                return self.seq.terms
             return tuple(self.seq.term(m) for m in range(1, self.horizon + 1))
         if self.kind == "interval_rationals":
             return tuple((float(x),) for x in np.linspace(self.lo, self.hi, self.n_samples))
@@ -96,21 +130,12 @@ def prob_radius(space: PNSpace, a: SetSpec) -> DistFn:
     member norms.
 
     The norm is nonincreasing in the magnitude (the contract on
-    ``pnspace.Family``), so the infimum is the norm at the largest
-    magnitude: the largest member magnitude of a finite set or sequence
-    image, max(|lo|, |hi|) for an interval (its rationals approach the
-    ends, and left-regularization makes the limit exact), and the
-    family's limit for the whole line.
+    ``pnspace.Family``), so the infimum is the norm at the set's largest
+    magnitude (``SetSpec.geometry``): left-regularization makes the limit
+    exact where members only approach it, and an unbounded set reads the
+    family's limit.
     """
-    if a.kind == "all_reals":
-        m = math.inf
-    elif a.kind == "interval_rationals":
-        if space.dim != 1:
-            raise ValueError("interval sets are one-dimensional")
-        m = max(abs(a.lo), abs(a.hi))
-    else:
-        m = max(space.magnitude(as_vector(p, space.dim)) for p in a.members(space.dim))
-    return space.norm_at_magnitude(m)
+    return space.norm_at_magnitude(a.geometry(space)[0])
 
 
 @dataclass(frozen=True)
@@ -256,85 +281,40 @@ def convergent_set_bound(
 
 @dataclass(frozen=True)
 class CompactnessResult:
-    refuted: bool
-    level: float
-    witness: str | None
-    detail: tuple[dict, ...]
+    compact: bool
+    reason: str
+
+    @property
+    def refuted(self) -> bool:
+        return not self.compact
 
     def to_dict(self) -> dict:
-        return {
-            "refuted": self.refuted,
-            "level": self.level,
-            "witness": self.witness,
-            "detail": list(self.detail),
-        }
+        return {"compact": self.compact, "refuted": self.refuted, "reason": self.reason}
 
 
-def _default_test_sequence(a: SetSpec, dim: int) -> SequenceSpec:
-    if a.kind == "sequence_image":
-        return a.seq
-    if a.kind in ("finite",):
-        return SequenceSpec("explicit", (1.0,) + (0.0,) * (dim - 1), a.members(dim))
-    if a.kind == "interval_rationals":
-        if not (math.isfinite(a.lo) and math.isfinite(a.hi)):
-            raise ValueError(f"compactness probe needs a bounded interval, got {a.describe()}")
-        # terms walk toward an interior point at geometric speed; the 3/4
-        # ratio keeps all gaps far above float resolution, so terms stay
-        # pairwise distinct through the default horizon
-        target = a.lo + (a.hi - a.lo) / math.sqrt(2.0)
-        span = (a.hi - target) / 2.0
-        terms = tuple((target + span * 0.75**m,) for m in range(1, DEFAULT_HORIZON + 1))
-        return SequenceSpec("explicit", (1.0,), terms)
-    raise ValueError("compactness probe needs an enumerable set")
+def compactness_probe(space: PNSpace, a: SetSpec) -> CompactnessResult:
+    """Decided: the set is compact exactly when it is finite.
 
-
-def compactness_probe(
-    space: PNSpace,
-    a: SetSpec,
-    candidate_limits=None,
-    lam: float = 0.25,
-    horizon: int = DEFAULT_HORIZON,
-    tail_window: int = 8,
-) -> CompactnessResult:
-    """Refutation-only probe for distributional compactness, relative to
-    the tested level.
-
-    A subsequence converging to q at level ``lam`` must keep hitting the
-    strong lam-neighborhood of q through the horizon.  A candidate is
-    ruled out when the last ``tail_window`` terms contain no such hit
-    (the candidate's own index excluded); if every candidate from the set
-    is ruled out, no subsequence window converges at this level, and the
-    refutation is recorded together with the level.
-
-    Candidates default to the sequence's own terms, which lie in the set
-    by construction; callers add the classical limit when they know it
-    belongs to the set.  The verdict is level-and-horizon-bounded: pick
-    ``lam`` fine enough to separate the members' mutual gaps but coarse
-    enough that the horizon can resolve it.  No refutation proves
-    nothing.
+    Every built-in norm induces the Euclidean or the discrete strong
+    topology (``strong_topology_class``).  In the discrete class only the
+    finite sets are compact.  In the Euclidean class a set is compact
+    exactly when it is closed and bounded in the base norm (Heine-Borel),
+    and every infinite kind is unbounded (the whole line, the geometric
+    image, an interval with an infinite end) or not closed (the rationals
+    in [lo, hi] miss its irrationals, a harmonic or geometric-decay image
+    misses its classical limit).  The reason names the class and the
+    property that fails.
     """
-    check_probe_args((lam,), horizon)
-    seq = _default_test_sequence(a, space.dim)
-    if seq.kind == "explicit":
-        horizon = min(horizon, len(seq.terms))
-    terms = [seq.term(m) for m in range(1, horizon + 1)]
-    if candidate_limits is None:
-        candidates = [(p, m) for m, p in enumerate(terms, start=1)]
+    largest, finite = a.geometry(space)
+    cls = strong_topology_class(space)
+    if finite:
+        why = "is finite"
+    elif cls == "discrete":
+        why = "is infinite"
+    elif largest == math.inf:
+        why = "is unbounded in the base norm"
+    elif a.kind == "interval_rationals":
+        why = "is not closed: it misses the irrationals between its ends"
     else:
-        candidates = [(as_vector(q, space.dim), None) for q in candidate_limits]
-        candidates += [(p, m) for m, p in enumerate(terms, start=1)]
-    tail_start = max(1, horizon - tail_window + 1)
-    detail = []
-    refuted = True
-    for q, self_index in candidates:
-        hits = [
-            m
-            for m in range(tail_start, horizon + 1)
-            if m != self_index
-            and space.norm_of(vec_sub(terms[m - 1], q)).eval(lam) > 1.0 - lam
-        ]
-        detail.append({"candidate": list(q), "tail_hits": len(hits)})
-        if hits:
-            refuted = False
-            break
-    return CompactnessResult(refuted, lam, seq.describe() if refuted else None, tuple(detail))
+        why = f"is not closed: it misses its limit {list(a.seq.classical_limit())}"
+    return CompactnessResult(finite, f"{space.describe()} is {cls}-class and {a.describe()} {why}")

@@ -78,7 +78,7 @@ def render_distfn(f: DistFn) -> dict:
     return {"family": type(f).__name__}
 
 
-def _parse_set(text: str, n_samples: int, dim: int) -> SetSpec:
+def _parse_set(text: str, dim: int, n_samples: int = 200) -> SetSpec:
     if text == "all_reals":
         return all_reals()
     kind, _, rest = text.partition(":")
@@ -120,8 +120,6 @@ def _task_convolve(cfg: dict) -> dict:
 
 
 def _task_axioms(cfg: dict) -> dict:
-    if cfg["samples"] != "default":
-        raise UsageError("only the default sample battery is built in")
     space = parse_space(cfg["space"], tau=cfg.get("tau"), tau_star=cfg.get("taustar"))
     rep = axiom_suite(space, tol=float(cfg["tol"]))
     return {"space": space.describe(), "tau": space.tau.describe(), "taustar": space.tau_star.describe(), "axioms": rep.to_dict(), "all_hold": rep.all_hold}
@@ -140,7 +138,7 @@ def _task_serstnev(cfg: dict) -> dict:
 
 def _task_classify(cfg: dict) -> dict:
     space = parse_space(cfg["space"])
-    aset = _parse_set(cfg["set"], int(cfg["samples"]), space.dim)
+    aset = _parse_set(cfg["set"], space.dim, int(cfg["samples"]))
     rep = classify_set(space, aset, tol=float(cfg["tol"]))
     out = rep.to_dict()
     out["radius"] = render_distfn(rep.radius)
@@ -150,7 +148,7 @@ def _task_classify(cfg: dict) -> dict:
 
 def _task_radius(cfg: dict) -> dict:
     space = parse_space(cfg["space"])
-    aset = _parse_set(cfg["set"], int(cfg["samples"]), space.dim)
+    aset = _parse_set(cfg["set"], space.dim, int(cfg["samples"]))
     return {"set": aset.describe(), "radius": render_distfn(prob_radius(space, aset))}
 
 
@@ -198,9 +196,8 @@ def _task_find_c(cfg: dict) -> dict:
 
 def _task_compact(cfg: dict) -> dict:
     space = parse_space(cfg["space"])
-    aset = _parse_set(cfg["set"], int(cfg["samples"]), space.dim)
-    rep = compactness_probe(space, aset, lam=float(cfg["lambda"]), horizon=int(cfg["horizon"]))
-    return {"set": aset.describe(), "refuted": rep.refuted, "witness": rep.witness}
+    aset = _parse_set(cfg["set"], space.dim)
+    return {"set": aset.describe(), **compactness_probe(space, aset).to_dict()}
 
 
 def _task_lgprobe(cfg: dict) -> dict:
@@ -257,8 +254,7 @@ def _task_suite(cfg: dict) -> dict:
 _TASKS = {
     "convolve": (_task_convolve, {"kind": "sup", "tnorm": "prod", "lhs": REQUIRED, "rhs": REQUIRED,
                                   "grid": 1024, "xmax": 64.0}),
-    "axioms": (_task_axioms, {"space": REQUIRED, "tau": None, "taustar": None, "samples": "default",
-                              "tol": 1e-9}),
+    "axioms": (_task_axioms, {"space": REQUIRED, "tau": None, "taustar": None, "tol": 1e-9}),
     "serstnev": (_task_serstnev, {"space": REQUIRED, "tau": None, "taustar": None, "tol": 1e-9}),
     "classify": (_task_classify, {"space": REQUIRED, "set": REQUIRED, "samples": 200, "tol": 1e-9}),
     "radius": (_task_radius, {"space": REQUIRED, "set": REQUIRED, "samples": 200}),
@@ -269,8 +265,7 @@ _TASKS = {
     "equiv": (_task_equiv, {"a": REQUIRED, "b": REQUIRED, "battery": "default",
                             "lambdas": "0.5,0.25,0.1,0.05", "horizon": DEFAULT_HORIZON}),
     "find_c": (_task_find_c, {"space": REQUIRED, "basis": REQUIRED, "field": "E19"}),
-    "compact": (_task_compact, {"space": REQUIRED, "set": REQUIRED, "samples": 200, "lambda": 0.25,
-                                "horizon": DEFAULT_HORIZON}),
+    "compact": (_task_compact, {"space": REQUIRED, "set": REQUIRED}),
     "lgprobe": (_task_lgprobe, {"space": REQUIRED, "xs": "0.5,1,2,4", "threshold": 1e-6}),
     "suite": (_task_suite, {"name": REQUIRED, "seed": None}),
 }

@@ -1,5 +1,5 @@
 """Probabilistic radius, classification, witnesses, the convergent-image
-bound, and the compactness refutation probe."""
+bound, and the compactness decision."""
 
 import math
 
@@ -288,20 +288,6 @@ def test_vanishing_norm_forces_bounded_magnitudes():
 
 # ------------------------------------------------------------ compactness
 
-def test_compactness_probe_rejects_bad_level_and_empty_horizon():
-    # at level 0 no neighborhood holds a point, so even a finite set would
-    # read as refuted
-    space, aset = make_space("E19"), finite_set([0.0, 0.001])
-    for lam in (0.0, -0.5, 1.0):
-        with pytest.raises(ValueError, match="lambda"):
-            compactness_probe(space, aset, lam=lam)
-    with pytest.raises(ValueError, match="horizon"):
-        compactness_probe(space, aset, horizon=0)
-    for lo, hi in ((0.0, math.inf), (-math.inf, 1.0)):
-        with pytest.raises(ValueError, match=r"bounded interval, got interval_rationals\["):
-            compactness_probe(space, interval_rationals(lo, hi))
-
-
 def test_geometric_escape_refutes_compactness():
     rep = compactness_probe(make_space("E9", a=1.0), sequence_image(SequenceSpec("geometric")))
     assert rep.refuted
@@ -309,40 +295,97 @@ def test_geometric_escape_refutes_compactness():
 
 def test_separated_steps_refute_compactness_immediately():
     # thresholds (1 + |p - q|)/1 >= 1 keep every distinct pair outside
-    # every neighborhood with level below 1
+    # every neighborhood with level below 1, so the strong topology is
+    # discrete; a finite set is compact there all the same
     aset = finite_set([float(x) for x in np.linspace(-3.0, 3.0, 25)])
     rep = compactness_probe(make_space("E27", a=1.0), aset)
-    assert rep.refuted
-    assert all(d["tail_hits"] == 0 for d in rep.detail)
+    assert rep.compact and not rep.refuted
+    assert rep.reason == "E27:a=1 is discrete-class and finite[25] is finite"
 
 
 def test_interval_with_unreachable_accumulation_point_refuted():
-    # members crowd toward an interior point that is not itself a
-    # candidate; at a level fine enough to separate their mutual gaps the
-    # tail hits no candidate's neighborhood
-    rep = compactness_probe(
-        make_space("E25"),
-        interval_rationals(math.sqrt(2.0), math.sqrt(10.0)),
-        lam=1e-3,
-    )
+    # members crowd toward points of the interval that are not rationals,
+    # so the set is not closed
+    rep = compactness_probe(make_space("E25"), interval_rationals(math.sqrt(2.0), math.sqrt(10.0)))
     assert rep.refuted
+    assert rep.reason.endswith("is not closed: it misses the irrationals between its ends")
 
 
-def test_refutation_is_level_relative():
-    # the same crowding sequence is NOT refuted at a coarse level, where
-    # members near the accumulation point keep each other inside
-    rep = compactness_probe(
-        make_space("E25"),
-        interval_rationals(math.sqrt(2.0), math.sqrt(10.0)),
-        lam=0.25,
-    )
-    assert not rep.refuted
+def test_rational_interval_is_decided_not_closed():
+    # no level enters the verdict, so no level is coarse enough to hide
+    # the missing irrationals
+    for family in FAMILIES:
+        rep = compactness_probe(make_space(family), interval_rationals(math.sqrt(2.0), math.sqrt(10.0)))
+        assert not rep.compact, family
 
 
-def test_convergent_sequence_with_its_limit_is_not_refuted():
-    # the harmonic image plus candidate limit 0 admits a convergent
-    # subsequence, so the refuter must stay silent
-    rep = compactness_probe(
-        make_space("E19"), sequence_image(HARMONIC), candidate_limits=[0.0]
-    )
-    assert not rep.refuted
+def test_harmonic_image_misses_its_limit():
+    # the image {1/m} accumulates at 0, which it does not contain
+    rep = compactness_probe(make_space("E19"), sequence_image(HARMONIC))
+    assert not rep.compact
+    assert rep.reason == "E19:l2 is Euclidean-class and image(harmonic) is not closed: it misses its limit [0.0]"
+
+
+def _table_sets(dim):
+    """Every set kind, keyed by whether it is compact: finite sets
+    (singletons and sets holding 0), explicit and zero-direction images
+    are; the whole line, intervals (also with an infinite end) and the
+    generator images are not."""
+    e, zero = (1.0,) + (0.0,) * (dim - 1), (0.0,) * dim
+    sets = [
+        (finite_set([e]), True),
+        (finite_set([zero]), True),
+        (finite_set([zero, e, tuple(-c for c in e)]), True),
+        (sequence_image(SequenceSpec("explicit", e, (e, zero, e))), True),
+        (all_reals(), False),
+    ]
+    for kind in ("harmonic", "geometric", "geometric_decay"):
+        sets += [(sequence_image(SequenceSpec(kind, e)), False), (sequence_image(SequenceSpec(kind, zero)), True)]
+    if dim == 1:
+        sets += [
+            (interval_rationals(lo, hi), False)
+            for lo, hi in ((1.0, 2.0), (-1.0, 1.0), (0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf))
+        ]
+    return sets
+
+
+TABLE_SPACES = [make_space(family) for family in FAMILIES] + [
+    make_space("E19", dim=2),
+    make_space("E19b", dim=2),
+]
+
+
+@pytest.mark.parametrize("space", TABLE_SPACES, ids=lambda s: s.describe())
+def test_compactness_decision_table(space):
+    cls = "discrete" if space.family in ("E21", "E27") else "Euclidean"
+    for aset, compact in _table_sets(space.dim):
+        rep = compactness_probe(space, aset)
+        assert rep.compact is compact and rep.refuted is not compact, aset
+        assert rep.reason.startswith(f"{space.describe()} is {cls}-class and {aset.describe()} is "), rep.reason
+    if space.dim > 1:
+        with pytest.raises(ValueError, match="interval sets are one-dimensional"):
+            compactness_probe(space, interval_rationals(0.0, 1.0))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generator_image_radius_is_read_over_the_whole_image(family):
+    # the decaying images are largest at their first term, so the radius
+    # equals the pointwise min over any prefix; the geometric image is
+    # unbounded, so its radius is the family's limit
+    space = make_space(family)
+    for kind in ("harmonic", "geometric_decay"):
+        seq = SequenceSpec(kind)
+        prefix = pointwise_min([space.norm_of(seq.term(m)) for m in range(1, 65)])
+        assert distfn_equal(prob_radius(space, sequence_image(seq)), prefix, 0.0), kind
+    geometric = prob_radius(space, sequence_image(SequenceSpec("geometric")))
+    assert distfn_equal(geometric, space.norm_at_magnitude(math.inf), 0.0)
+    zero = classify_set(space, sequence_image(SequenceSpec("geometric", (0.0,))))
+    assert zero.cls == "certainly_bounded" and zero.witness_x0 == 0.0
+
+
+def test_geometric_image_is_certainly_unbounded():
+    # the image is unbounded, so the radius is the family's limit, which
+    # vanishes in these families
+    for spec in ("E19", "E27", "E25"):
+        space = make_space(spec)
+        assert classify_set(space, sequence_image(SequenceSpec("geometric"))).cls == "certainly_unbounded", spec

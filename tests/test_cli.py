@@ -155,6 +155,41 @@ def test_compact_subcommand(capsys):
     assert doc["result"]["refuted"] is True
 
 
+@pytest.mark.parametrize("spec, compact", [
+    ("finite:1;2;3", True),
+    ("finite:5", True),
+    ("all_reals", False),
+    ("seq:explicit:1;2", True),
+    ("seq:harmonic", False),
+])
+def test_compact_decides_every_set_kind(capsys, spec, compact):
+    doc = run_json(capsys, "compact", "--space", "E9:a=1", "--set", spec)
+    assert doc["result"]["compact"] is compact
+    assert doc["result"]["refuted"] is not compact
+    assert doc["result"]["reason"].startswith("E9:a=1 is Euclidean-class and ")
+    assert sorted(doc["config"]) == ["seed", "set", "space"]
+
+
+def test_compact_on_an_interval_in_the_plane_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "compact", "--space", "E19:l2,dim=2", "--set", "interval:-1,1")
+    assert code == 2
+    assert out == ""
+    assert "interval sets are one-dimensional" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("axioms", "--space", "E25", "--samples", "default"),
+    ("compact", "--space", "E9:a=1", "--set", "seq:geometric", "--lambda", "0.25"),
+    ("compact", "--space", "E9:a=1", "--set", "seq:geometric", "--horizon", "64"),
+    ("compact", "--space", "E9:a=1", "--set", "seq:geometric", "--samples", "200"),
+], ids=["axioms-samples", "compact-lambda", "compact-horizon", "compact-samples"])
+def test_unread_options_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_lgprobe_subcommand(capsys):
     doc = run_json(capsys, "lgprobe", "--space", "E12")
     assert doc["result"]["has_lg_property"] is True
@@ -216,7 +251,7 @@ SCENARIOS = [
     ({"task": "find_c", "space": "E19:linf,dim=2", "basis": "1,0;0,1"},
      lambda r: abs(r["c"] - 0.5) < 0.01),
     ({"task": "compact", "space": "E27:a=1", "set": "finite:-1;0;1"},
-     lambda r: r["refuted"] is True),
+     lambda r: r["compact"] is True and r["refuted"] is False),
     ({"task": "lgprobe", "space": "E9:a=1"},
      lambda r: r["has_lg_property"] is False),
 ]
@@ -258,7 +293,6 @@ def test_scenario_accepts_numbers_and_lists_where_flags_parse_them(capsys, tmp_p
     ("converge", "--space", "E19", "--seq", "harmonic"),
     ("cauchy", "--space", "E19", "--seq", "harmonic"),
     ("equiv", "--a", "E19", "--b", "E19b:a=1"),
-    ("compact", "--space", "E9:a=1", "--set", "seq:geometric"),
 ], ids=lambda argv: argv[0])
 def test_empty_horizon_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--horizon", "0")
@@ -267,11 +301,12 @@ def test_empty_horizon_is_a_usage_error(capsys, argv):
     assert "horizon" in err
 
 
-def test_compact_on_an_unbounded_interval_is_a_usage_error(capsys):
-    code, out, err = run_cli(capsys, "compact", "--space", "E9:a=1", "--set", "interval:0,inf")
-    assert code == 2
-    assert out == ""
-    assert "compactness probe needs a bounded interval, got interval_rationals[0,inf]" in err
+def test_compact_on_an_unbounded_interval_is_decided(capsys):
+    doc = run_json(capsys, "compact", "--space", "E9:a=1", "--set", "interval:0,inf")
+    assert doc["result"]["compact"] is False
+    assert doc["result"]["reason"] == (
+        "E9:a=1 is Euclidean-class and interval_rationals[0,inf] is unbounded in the base norm"
+    )
 
 
 def _no_work(*args, **kwargs):
@@ -281,13 +316,11 @@ def _no_work(*args, **kwargs):
 @pytest.mark.parametrize("argv, target, message", [
     (("cauchy", "--space", "E19", "--seq", "harmonic", "--horizon", str(MAX_HORIZON + 1)),
      "pncalc.pnspace.PNSpace.norm_of", f"horizon must be <= {MAX_HORIZON}, got {MAX_HORIZON + 1}"),
-    (("compact", "--space", "E9:a=1", "--set", "seq:geometric", "--horizon", str(MAX_HORIZON + 1)),
-     "pncalc.pnspace.PNSpace.norm_of", f"horizon must be <= {MAX_HORIZON}, got {MAX_HORIZON + 1}"),
     (("convolve", "--lhs", "ratio:1", "--rhs", "ratio:2", "--grid", str(MAX_GRID + 1)),
      "pncalc.cli.from_spec", f"grid size must lie in [1, {MAX_GRID}], got {MAX_GRID + 1}"),
     (("classify", "--space", "E25", "--set", "interval:1,2", "--samples", str(MAX_SAMPLES + 1)),
      "pncalc.cli.classify_set", f"interval samples must lie in [1, {MAX_SAMPLES}], got {MAX_SAMPLES + 1}"),
-], ids=["cauchy-horizon", "compact-horizon", "grid", "samples"])
+], ids=["cauchy-horizon", "grid", "samples"])
 def test_size_above_its_bound_is_a_usage_error(capsys, monkeypatch, argv, target, message):
     monkeypatch.setattr(target, _no_work)
     code, out, err = run_cli(capsys, *argv)

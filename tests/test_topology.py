@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from pncalc import topology
 from pncalc.distfn import compare_leq
 from pncalc.pnspace import FAMILIES, as_vector, make_space, parse_space, vec_sub
 from pncalc.topology import (
@@ -244,19 +245,53 @@ def test_probes_match_the_scans(family, horizon):
         assert got == _pair_scan_cauchy(space, ref, SCAN_LAMBDAS, horizon), seq
 
 
-@pytest.mark.parametrize("spec", ["E19:l1,dim=2", "E19:l2,dim=2"])
-def test_probes_match_the_scans_in_the_plane(spec):
+def _pair_scan_diameters(space, terms):
+    """The tail diameters from one magnitude per pair of terms."""
+    diam, d = [0.0] * (len(terms) - 1), 0.0
+    for i in range(len(terms) - 2, -1, -1):
+        d = diam[i] = max(d, *(space.magnitude(vec_sub(terms[j], terms[i])) for j in range(i + 1, len(terms))))
+    return diam
+
+
+@pytest.mark.parametrize("spec", ["E19:l1,dim=2", "E19:l2,dim=2", "E19:linf,dim=2"])
+def test_probes_match_the_scans_in_the_plane(spec, monkeypatch):
+    # the Cauchy probe's numpy shortlist is settled exactly: generator
+    # terms reach 2^256, the first differences of ``huge`` overflow, the
+    # alternating terms tie at the farthest distance, and the other terms
+    # give differences whose numpy norms are an ulp off; the step norms of
+    # E19 hide an ulp in the reports, so the diameters are compared too
     space = parse_space(spec)
     spiral = tuple((math.cos(m) / m, math.sin(m) / m) for m in range(1, 41))
-    sequences = (SequenceSpec("harmonic", (1.0, -2.0)), SequenceSpec("explicit", (1.0, 0.0), spiral))
+    scattered = tuple((math.cos(m) * m, math.sin(3 * m) / m) for m in range(1, 257))
+    huge = ((2.0**1023, -(2.0**1023)), (-(2.0**1023), 2.0**1023), (1.0, 0.0))
+    alternating = tuple(((1.0, 0.0), (0.0, 1.0))[m % 2] for m in range(30))
+    # numpy orders the two differences from 0 the other way round than
+    # ``space.magnitude`` does, in l2 and in l1 respectively
+    reversed_l2 = ((0.0, 0.0), (0.3465137019613266, 0.09456954408971274), (0.3469321157930781, 0.09302285389955227))
+    reversed_l1 = ((0.0, 0.0), (0.9303217135749122, 0.8964628503429072), (1.562240420416985, 0.2645441435008343))
+    sequences = [SequenceSpec("harmonic", (1.0, -2.0))]
+    sequences += [SequenceSpec(kind, (1.0, 0.5)) for kind in ("harmonic", "geometric", "geometric_decay")]
+    sequences += [
+        SequenceSpec("explicit", (1.0, 0.0), terms)
+        for terms in (spiral, scattered, huge, alternating, reversed_l2, reversed_l1)
+    ]
+    diameters = []
+    tail_report = topology._tail_report
+
+    def recording(sp, suffix, *rest):
+        diameters.append(suffix)
+        return tail_report(sp, suffix, *rest)
+
+    monkeypatch.setattr(topology, "_tail_report", recording)
     for seq in sequences:
-        for horizon in (1, 2, 64):
+        for horizon in (1, 2, 64, 256):
             ref = _uncut(seq, horizon)
             for target in ((0.0, 0.0), (0.5, -0.5)):
                 got = convergence_probe(space, seq, target, SCAN_LAMBDAS, horizon)
                 assert got == _scan_convergence(space, ref, target, SCAN_LAMBDAS, horizon), (seq.kind, target)
             got = cauchy_probe(space, seq, SCAN_LAMBDAS, horizon)
             assert got == _pair_scan_cauchy(space, ref, SCAN_LAMBDAS, horizon), (seq.kind, horizon)
+            assert diameters[-1] == _pair_scan_diameters(space, [seq.term(m) for m in range(1, horizon + 1)])
 
 
 # ------------------------------------------------------------ completeness
