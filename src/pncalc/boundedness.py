@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distfn import DPLUS_TOL, DistFn, compare_leq, pointwise_min
+from .distfn import DPLUS_TOL, DistFn, check_tol, compare_leq, pointwise_min
 from .pnspace import PNSpace, Vector, as_vector, default_samples, vec_sub
 from .topology import DEFAULT_HORIZON, SequenceSpec, convergence_probe, strong_topology_class
 from .triangle import conv_plateau
@@ -182,6 +182,7 @@ def classify_set(space: PNSpace, a: SetSpec, tol: float = 1e-9) -> RadiusReport:
     R equals 1 (the infimum of valid witnesses; the value AT the threshold
     is still the lower level by left-continuity).
     """
+    check_tol(tol)
     radius = prob_radius(space, a)
     plateau = radius.plateau
     x0 = _attainment_threshold(radius, 1.0 - tol)

@@ -415,6 +415,14 @@ def compare_leq(f: DistFn, g: DistFn, tol: float | None = None) -> Comparison:
     return Comparison(False, float(xs[k]), gap)
 
 
+def check_tol(tol: float) -> None:
+    """Reject a verdict tolerance outside [0, 1): a NaN passes no
+    comparison, a negative slack fails equal functions, and a slack of 1
+    or more passes every pair of values in [0, 1]."""
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tolerance must be finite and in [0, 1), got {tol}")
+
+
 def distfn_equal(f: DistFn, g: DistFn, tol: float | None = None) -> bool:
     return compare_leq(f, g, tol).holds and compare_leq(g, f, tol).holds
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .distfn import (
     DistFn,
     Plateau,
     Ratio,
+    check_tol,
     compare_leq,
     distfn_equal,
     eps,
@@ -48,6 +50,11 @@ from .tnorms import LawCheck
 from .triangle import TriangleFn, parse_triangle
 
 Vector = tuple[float, ...]
+
+#: Largest carrier dimension: the default battery holds 10 * (dim + 1) + 1
+#: vectors and N3 reads the magnitude of every pair of them, so
+#: ``axioms --space E19:l2,dim=64`` takes about 3 s (on a 2-CPU x86 host)
+MAX_DIM = 64
 
 _BASE_NORMS = {
     "l1": lambda p: sum(abs(c) for c in p),
@@ -145,10 +152,12 @@ class PNSpace:
             raise ValueError(f"unknown space family {self.family!r}")
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
+        if self.dim > MAX_DIM:
+            raise ValueError(f"dimension must be <= {MAX_DIM}, got {self.dim}")
         if self.dim != 1 and not fam.multi_dim:
             raise ValueError(f"family {self.family} is one-dimensional")
-        if fam.reads_a and not self.a > 0.0:
-            raise ValueError("parameter a must be positive")
+        if fam.reads_a and not 0.0 < self.a < math.inf:
+            raise ValueError("parameter a must be positive and finite")
         if self.base_norm not in _BASE_NORMS:
             raise ValueError(f"unknown base norm {self.base_norm!r}")
 
@@ -290,42 +299,85 @@ def axiom_suite(space: PNSpace, samples: SampleSpec | None = None, tol: float = 
     N3: nu_{p+q} >= tau(nu_p, nu_q).
     N4: nu_p <= tau_star(nu_{lambda p}, nu_{(1-lambda) p}).
     The tau <= tau_star requirement is probed on the sampled norm pairs.
+
+    Every norm is radial, so each check reads its vectors only through
+    their magnitudes.  Within one call, norms are evaluated once per
+    magnitude m, tau and tau_star once per ordered pair of operand
+    magnitudes, and each comparison once per key: N1 and N2 by the
+    magnitudes compared, N3 by (m_p, m_q, m_{p+q}) with the computed
+    magnitude of p + q, N4 by (m_p, m_{lambda p}, m_{(1-lambda) p}), the
+    order check by its pair.  The loops still walk the battery in order,
+    so the violations are those of the pairwise scan, while the cost is
+    the number of distinct keys: in E19 dim 3, 246 N3 triples against
+    1,681 vector pairs.
     """
+    check_tol(tol)
     if samples is None:
         samples = default_samples(space)
     if not samples.vectors:
         raise ValueError("sample battery must be nonempty")
-    norms = {p: space.norm_of(p) for p in samples.vectors}
+
+    vectors = [as_vector(p, space.dim) for p in samples.vectors]
+    mag = space.magnitude
+    norm = cache(space.norm_at_magnitude)
+
+    @cache
+    def tau(m, n):
+        return space.tau(norm(m), norm(n))
+
+    @cache
+    def tau_star(m, n):
+        return space.tau_star(norm(m), norm(n))
+
+    @cache
+    def is_unit_step(m) -> bool:
+        return distfn_equal(norm(m), EPS0, tol)
+
+    @cache
+    def equal(m, n) -> bool:
+        return distfn_equal(norm(m), norm(n), tol)
+
+    @cache
+    def n3(m_p, m_q, m_sum):
+        return compare_leq(tau(m_p, m_q), norm(m_sum), tol)
+
+    @cache
+    def n4(m_p, m_lam, m_rest):
+        return compare_leq(norm(m_p), tau_star(m_lam, m_rest), tol)
+
+    @cache
+    def order(m, n):
+        return compare_leq(tau(m, n), tau_star(m, n), tol)
+
+    mags = {p: mag(p) for p in vectors}
 
     n1_v = []
-    if not distfn_equal(space.norm_of(space.zero), EPS0, tol):
+    if not is_unit_step(mag(space.zero)):
         n1_v.append(("theta", space.zero))
-    for p, f in norms.items():
-        if not is_zero(p) and distfn_equal(f, EPS0, tol):
+    for p, m in mags.items():
+        if not is_zero(p) and is_unit_step(m):
             n1_v.append(("nonzero maps to unit step", p))
 
-    n2_v = [(p,) for p, f in norms.items() if not distfn_equal(space.norm_of(vec_scale(-1.0, p)), f, tol)]
+    n2_v = [(p,) for p, m in mags.items() if not equal(mag(vec_scale(-1.0, p)), m)]
 
     n3_v = []
-    for p, fp in norms.items():
-        for q, fq in norms.items():
-            lhs = space.tau(fp, fq)
-            c = compare_leq(lhs, space.norm_of(vec_add(p, q)), tol)
+    for p, m_p in mags.items():
+        for q, m_q in mags.items():
+            c = n3(m_p, m_q, mag(vec_add(p, q)))
             if not c.holds:
                 n3_v.append((p, q, c.witness))
 
     n4_v = []
-    for p, fp in norms.items():
+    for p, m_p in mags.items():
         for lam in samples.lambdas:
-            rhs = space.tau_star(space.norm_of(vec_scale(lam, p)), space.norm_of(vec_scale(1.0 - lam, p)))
-            c = compare_leq(fp, rhs, tol)
+            c = n4(m_p, mag(vec_scale(lam, p)), mag(vec_scale(1.0 - lam, p)))
             if not c.holds:
                 n4_v.append((p, lam, c.witness))
 
     order_v = []
-    pairs = list(norms.values())
-    for f, g in zip(pairs, pairs[1:] + pairs[:1]):
-        c = compare_leq(space.tau(f, g), space.tau_star(f, g), tol)
+    ms = list(mags.values())
+    for m, n in zip(ms, ms[1:] + ms[:1]):
+        c = order(m, n)
         if not c.holds:
             order_v.append((c.witness,))
 
@@ -359,20 +411,34 @@ class ScalingResult:
 
 def serstnev_check(space: PNSpace, samples: SampleSpec | None = None, tol: float = 1e-9) -> ScalingResult:
     """Test the Serstnev scaling identity nu_{alpha p}(x) = nu_p(x / |alpha|)
-    by comparing norm_of(alpha p) with the argument-scaled norm pointwise."""
+    by comparing norm_of(alpha p) with the argument-scaled norm pointwise.
+
+    Every norm is radial, so within one call each comparison pair is
+    evaluated once per key (m_{alpha p}, m_p, |alpha|) while the loops walk
+    the battery in order: two comparisons per distinct key, not per
+    (alpha, sign, p)."""
+    check_tol(tol)
     if samples is None:
         samples = default_samples(space)
+
+    vectors = [as_vector(p, space.dim) for p in samples.vectors]
+    mag = space.magnitude
+    norm = cache(space.norm_at_magnitude)
+
+    @cache
+    def scaled(m_ap, m_p, s):
+        lhs = norm(m_ap)
+        rhs = norm(m_p).scale_arg(s)
+        return lhs, rhs, compare_leq(lhs, rhs, tol), compare_leq(rhs, lhs, tol)
+
     violations = []
     for alpha in samples.alphas:
         for sgn in (1.0, -1.0):
             av = sgn * alpha
             if av == 0.0:
                 continue
-            for p in samples.vectors:
-                lhs = space.norm_of(vec_scale(av, p))
-                rhs = space.norm_of(p).scale_arg(abs(av))
-                fwd = compare_leq(lhs, rhs, tol)
-                bwd = compare_leq(rhs, lhs, tol)
+            for p in vectors:
+                lhs, rhs, fwd, bwd = scaled(mag(vec_scale(av, p)), mag(p), abs(av))
                 if not (fwd.holds and bwd.holds):
                     x = fwd.witness if fwd.witness is not None else bwd.witness
                     violations.append(ScalingViolation(av, p, x, lhs, rhs))

@@ -8,6 +8,7 @@ import pytest
 from pncalc.boundedness import MAX_SAMPLES
 from pncalc.cli import main
 from pncalc.distfn import MAX_GRID
+from pncalc.pnspace import MAX_DIM
 from pncalc.topology import MAX_HORIZON
 
 
@@ -320,9 +321,29 @@ def _no_work(*args, **kwargs):
      "pncalc.cli.from_spec", f"grid size must lie in [1, {MAX_GRID}], got {MAX_GRID + 1}"),
     (("classify", "--space", "E25", "--set", "interval:1,2", "--samples", str(MAX_SAMPLES + 1)),
      "pncalc.cli.classify_set", f"interval samples must lie in [1, {MAX_SAMPLES}], got {MAX_SAMPLES + 1}"),
-], ids=["cauchy-horizon", "grid", "samples"])
+    (("axioms", "--space", f"E19:l2,dim={MAX_DIM + 1}"),
+     "pncalc.pnspace.default_samples", f"dimension must be <= {MAX_DIM}, got {MAX_DIM + 1}"),
+], ids=["cauchy-horizon", "grid", "samples", "dim"])
 def test_size_above_its_bound_is_a_usage_error(capsys, monkeypatch, argv, target, message):
     monkeypatch.setattr(target, _no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("classify", "--space", "E25", "--set", "interval:1,2", "--tol", "nan"), "tolerance must be finite and in [0, 1), got nan"),
+    (("axioms", "--space", "E12", "--tol", "nan"), "tolerance must be finite and in [0, 1), got nan"),
+    (("axioms", "--space", "E12", "--tol", "-1"), "tolerance must be finite and in [0, 1), got -1.0"),
+    (("axioms", "--space", "E12", "--tol", "1"), "tolerance must be finite and in [0, 1), got 1.0"),
+    (("serstnev", "--space", "E9:a=1", "--tol", "nan"), "tolerance must be finite and in [0, 1), got nan"),
+    (("axioms", "--space", "E9:a=inf"), "parameter a must be positive and finite"),
+    (("axioms", "--space", "E27:a=inf"), "parameter a must be positive and finite"),
+], ids=["classify-tol-nan", "axioms-tol-nan", "axioms-tol-negative", "axioms-tol-one", "serstnev-tol-nan", "E9-a-inf", "E27-a-inf"])
+def test_verdict_parameter_out_of_range_is_a_usage_error(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr("pncalc.pnspace.default_samples", _no_work)
+    monkeypatch.setattr("pncalc.boundedness.prob_radius", _no_work)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

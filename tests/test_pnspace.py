@@ -6,10 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from pncalc import pnspace
+from pncalc.boundedness import classify_set, interval_rationals
 from pncalc.distfn import EPS0, Plateau, Ratio, compare_leq, distfn_equal, eps
 from pncalc.pnspace import (
     FAMILIES,
+    MAX_DIM,
+    AxiomReport,
     SampleSpec,
+    ScalingResult,
+    ScalingViolation,
     _FAMILIES,
     as_vector,
     axiom_suite,
@@ -24,6 +30,7 @@ from pncalc.pnspace import (
     serstnev_check,
     small_scalar_delta_probe,
     strong_tvs_probe,
+    vec_add,
     vec_scale,
 )
 from pncalc.tnorms import LawCheck
@@ -76,6 +83,24 @@ def test_dimension_mismatch_rejected():
         make_space("E19", dim=2).norm_of(1.0)
     with pytest.raises(ValueError):
         make_space("E12", dim=3)
+
+
+def test_dimension_is_bounded(monkeypatch):
+    assert make_space("E19", dim=MAX_DIM).dim == MAX_DIM
+
+    def no_battery(space):
+        raise AssertionError("battery built before the dimension check")
+
+    monkeypatch.setattr(pnspace, "default_samples", no_battery)
+    with pytest.raises(ValueError, match=f"dimension must be <= {MAX_DIM}, got {MAX_DIM + 1}"):
+        parse_space(f"E19:l2,dim={MAX_DIM + 1}")
+
+
+@pytest.mark.parametrize("a", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("family", ["E9", "E19b", "E27"])
+def test_parameter_a_must_be_positive_and_finite(family, a):
+    with pytest.raises(ValueError, match="parameter a must be positive and finite"):
+        make_space(family, a=a)
 
 
 def test_parse_space_round_trip():
@@ -140,6 +165,176 @@ def test_e19_with_max_tau_fails_n3():
 def test_axiom_suite_rejects_empty_battery():
     with pytest.raises(ValueError):
         axiom_suite(make_space("E12"), SampleSpec(vectors=()))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-12, 1.0])
+def test_verdict_tolerance_must_lie_in_the_unit_interval(tol):
+    space = make_space("E25")
+    for check in (axiom_suite, serstnev_check):
+        with pytest.raises(ValueError, match="tolerance must be finite and in"):
+            check(space, tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be finite and in"):
+        classify_set(space, interval_rationals(1.0, 2.0), tol=tol)
+
+
+# The axiom suite and the scaling check as they compared every vector
+# pair, norm by norm; the magnitude-keyed versions must equal them.
+
+def _reference_axiom_suite(space, samples=None, tol=1e-9):
+    if samples is None:
+        samples = default_samples(space)
+    if not samples.vectors:
+        raise ValueError("sample battery must be nonempty")
+    norms = {p: space.norm_of(p) for p in samples.vectors}
+
+    n1_v = []
+    if not distfn_equal(space.norm_of(space.zero), EPS0, tol):
+        n1_v.append(("theta", space.zero))
+    for p, f in norms.items():
+        if not is_zero(p) and distfn_equal(f, EPS0, tol):
+            n1_v.append(("nonzero maps to unit step", p))
+
+    n2_v = [(p,) for p, f in norms.items() if not distfn_equal(space.norm_of(vec_scale(-1.0, p)), f, tol)]
+
+    n3_v = []
+    for p, fp in norms.items():
+        for q, fq in norms.items():
+            lhs = space.tau(fp, fq)
+            c = compare_leq(lhs, space.norm_of(vec_add(p, q)), tol)
+            if not c.holds:
+                n3_v.append((p, q, c.witness))
+
+    n4_v = []
+    for p, fp in norms.items():
+        for lam in samples.lambdas:
+            rhs = space.tau_star(space.norm_of(vec_scale(lam, p)), space.norm_of(vec_scale(1.0 - lam, p)))
+            c = compare_leq(fp, rhs, tol)
+            if not c.holds:
+                n4_v.append((p, lam, c.witness))
+
+    order_v = []
+    pairs = list(norms.values())
+    for f, g in zip(pairs, pairs[1:] + pairs[:1]):
+        c = compare_leq(space.tau(f, g), space.tau_star(f, g), tol)
+        if not c.holds:
+            order_v.append((c.witness,))
+
+    return AxiomReport(
+        n1=LawCheck(not n1_v, tuple(n1_v[:3])),
+        n2=LawCheck(not n2_v, tuple(n2_v[:3])),
+        n3=LawCheck(not n3_v, tuple(n3_v[:3])),
+        n4=LawCheck(not n4_v, tuple(n4_v[:3])),
+        tau_le_tau_star=LawCheck(not order_v, tuple(order_v[:3])),
+    )
+
+
+def _reference_serstnev_check(space, samples=None, tol=1e-9):
+    if samples is None:
+        samples = default_samples(space)
+    violations = []
+    for alpha in samples.alphas:
+        for sgn in (1.0, -1.0):
+            av = sgn * alpha
+            if av == 0.0:
+                continue
+            for p in samples.vectors:
+                lhs = space.norm_of(vec_scale(av, p))
+                rhs = space.norm_of(p).scale_arg(abs(av))
+                fwd = compare_leq(lhs, rhs, tol)
+                bwd = compare_leq(rhs, lhs, tol)
+                if not (fwd.holds and bwd.holds):
+                    x = fwd.witness if fwd.witness is not None else bwd.witness
+                    violations.append(ScalingViolation(av, p, x, lhs, rhs))
+    return ScalingResult(not violations, tuple(violations))
+
+
+_KEYED_SPACES = (
+    [f"{family}:a={a}" if _FAMILIES[family].reads_a else family for family in FAMILIES for a in (0.5, 1)]
+    + [f"{family}:a=1,{base},dim={dim}" for family in ("E19", "E19b") for base in ("l1", "l2", "linf") for dim in (2, 3)]
+)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+@pytest.mark.parametrize("spec", sorted(set(_KEYED_SPACES)))
+def test_keyed_battery_equals_the_pairwise_scan(spec, tol):
+    space = parse_space(spec)
+    assert axiom_suite(space, tol=tol) == _reference_axiom_suite(space, tol=tol)
+    assert serstnev_check(space, tol=tol) == _reference_serstnev_check(space, tol=tol)
+
+
+def test_keyed_battery_keeps_the_rounded_n3_failure():
+    # ||p + q|| rounds one ulp above ||p|| + ||q|| for p = (0.5, 0.5, 0.5),
+    # q = (2, 2, 2); the keyed suite reads the computed magnitude of p + q
+    space = parse_space("E19:l2,dim=3")
+    rep = axiom_suite(space)
+    assert rep == _reference_axiom_suite(space)
+    assert not rep.n3.ok and rep.n1.ok and rep.n2.ok and rep.n4.ok
+    assert rep.n3.violations
+
+
+def test_keyed_battery_with_non_default_triangle_functions():
+    for space in (make_space("E19", tau="max", tau_star="max"), make_space("E12", tau="sup:prod", tau_star="inf:prod")):
+        assert axiom_suite(space) == _reference_axiom_suite(space)
+
+
+_ODD_VECTORS = {
+    # signed zeros, equal magnitudes in different directions, and huge
+    # components whose sums overflow the l1 and l2 magnitudes (the scalars
+    # below keep every argument-scaled norm finite)
+    1: ((-0.0,), (0.0,), (3.0,), (-3.0,), (0.75,), (1e308,), (-1e308,), (5e-324,)),
+    2: ((-0.0, 0.0), (0.0, -0.0), (3.0, 4.0), (4.0, -3.0), (-5.0, 0.0), (0.0, 5.0),
+        (1e308, 1e308), (-1e308, 2.0), (5e-324, 0.0), (0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+@pytest.mark.parametrize("spec", ["E9:a=1", "E12", "E21", "E25", "E27:a=1", "E19:l1,dim=2", "E19:l2,dim=2", "E19b:a=1,linf,dim=2"])
+def test_keyed_battery_on_a_custom_sample(spec, tol):
+    space = parse_space(spec)
+    samples = SampleSpec(vectors=_ODD_VECTORS[space.dim], lambdas=(0.0, 0.5, 1.0 / 3.0, 1.0), alphas=(0.0, 0.5, -1.25, 1.0))
+    assert axiom_suite(space, samples, tol) == _reference_axiom_suite(space, samples, tol)
+    assert serstnev_check(space, samples, tol) == _reference_serstnev_check(space, samples, tol)
+
+
+def _counting_compare(monkeypatch):
+    calls = [0]
+    compare = pnspace.compare_leq
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return compare(*args, **kwargs)
+
+    monkeypatch.setattr(pnspace, "compare_leq", counted)
+    return calls
+
+
+def test_each_distinct_magnitude_key_is_compared_once_per_call(monkeypatch):
+    space = parse_space("E19:l2,dim=3")
+    samples = default_samples(space)
+    vs, m = samples.vectors, space.magnitude
+    n3_keys = {(m(p), m(q), m(vec_add(p, q))) for p in vs for q in vs}
+    n4_keys = {(m(p), m(vec_scale(lam, p)), m(vec_scale(1.0 - lam, p))) for p in vs for lam in samples.lambdas}
+    ms = [m(p) for p in vs]
+    order_keys = set(zip(ms, ms[1:] + ms[:1]))
+    assert (len(vs), len(n3_keys), len(n4_keys)) == (41, 246, 51)
+    calls = _counting_compare(monkeypatch)
+    counts = []
+    for _ in range(2):
+        calls[0] = 0
+        axiom_suite(space)
+        counts.append(calls[0])
+    # each key is compared once, and a second call costs what the first
+    # did: no cache outlives a call
+    assert counts == [len(n3_keys) + len(n4_keys) + len(order_keys)] * 2
+
+    scaling_keys = {(m(vec_scale(s * a, p)), m(p), a) for a in samples.alphas for s in (1.0, -1.0) for p in vs}
+    counts = []
+    for _ in range(2):
+        calls[0] = 0
+        serstnev_check(space)
+        counts.append(calls[0])
+    assert counts == [2 * len(scaling_keys)] * 2
+    assert len(scaling_keys) < 2 * len(samples.alphas) * len(vs)
 
 
 # ------------------------------------------------------------ scaling identity
