@@ -15,12 +15,15 @@ post-jump T values over the sums below each cell (sup), or a running min
 of the pre-jump S values over the sums at or above it (inf).  Otherwise
 the optimum is searched lazily over a merged candidate set of sample
 points, fixed fractions of x, and breakpoint images.  The lazy search
-runs over the abscissae in row blocks of about ``_BLOCK`` candidates, so
-each nesting level holds a bounded number of values, and reads the left
-operand once per evaluation at its own probe points: a nested chain
-evaluates its inner convolutions at about half the points a full
-candidate matrix would.  Materialized samples are re-monotonized by a
-running max to absorb floating-point wobble.
+runs over the abscissae in ascending row blocks of about ``_BLOCK``
+candidates, so each nesting level holds a bounded number of values, and
+reads the left operand once per evaluation at its own probe points.  A
+probe point above x splits x at an endpoint, (0, x) or (x, 0), which the
+fraction columns 0.0 and 1.0 already hold bit for bit; so each block
+reads only the probe points at or below its largest abscissa, and since
+max and min are exact, leaving those duplicate columns out changes no
+value.  Materialized samples are re-monotonized by a running max to
+absorb floating-point wobble.
 """
 
 from __future__ import annotations
@@ -92,6 +95,11 @@ class LazyConv(DistFn):
     optimized over endpoint splits, fixed fractions of x, and both
     operands' probe abscissae (in both orientations).
 
+    The abscissae are walked in ascending blocks, and a block reads only
+    the probe points at or below its largest x.  The cut is exact: a
+    right probe point t > x clips to the split s = 0, and a left one
+    s > x to s = x, which are the fraction 0.0 and 1.0 columns.
+
     The search can only miss the optimum, so the sup path never
     overestimates and the inf path never underestimates the true
     convolution; the plateau is exact (see ``conv_plateau``).
@@ -109,28 +117,35 @@ class LazyConv(DistFn):
 
     def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        pf = _probe_array(self.f)
+        pf = np.sort(_probe_array(self.f))
         pg = _probe_array(self.g)
-        pg = np.concatenate([pg, np.nextafter(pg, -INF)])
+        pg = np.sort(np.concatenate([pg, np.nextafter(pg, -INF)]))
         # the split at pf[k] is min(pf[k], x), so F there is F(pf[k]) or,
         # past x, F(x): the fraction 1.0 column, as x * 1.0 == x
         fpf = self.f.eval_many(pf)
         op = self.tnorm.fn_np if self.maximize else self.tnorm.conorm.fn_np
         reduce = np.max if self.maximize else np.min
+        combine = np.maximum if self.maximize else np.minimum
         rows = max(1, _BLOCK // (_FRACTIONS.size + pf.size + pg.size))
+        order = np.argsort(xs, kind="stable")
         out = np.empty(xs.shape)
         for i in range(0, xs.size, rows):
-            col = xs[i:i + rows, None]
-            ss = np.clip(np.concatenate([col * _FRACTIONS, col - pg], axis=1), 0.0, col)
+            at = order[i:i + rows]
+            col = xs[at, None]
+            # rows ascend, so the probe points above the block's largest
+            # x clip to endpoint splits in every row (see the class doc)
+            top = col[-1, 0]
+            kg = np.searchsorted(pg, top, "right")
+            kf = np.searchsorted(pf, top, "right")
+            ss = np.clip(np.concatenate([col * _FRACTIONS, col - pg[:kg]], axis=1), 0.0, col)
             fv = self.f.eval_many(ss)
-            fx = fv[:, _FRACTIONS.size - 1, None]
-            sf = np.clip(pf, 0.0, col)
-            vals = np.concatenate(
-                [op(fv, self.g.eval_many(col - ss)),
-                 op(np.where(pf <= col, fpf, fx), self.g.eval_many(col - sf))],
-                axis=1,
-            )
-            out[i:i + rows] = reduce(vals, axis=1)
+            best = reduce(op(fv, self.g.eval_many(col - ss)), axis=1)
+            if kf:
+                fx = fv[:, _FRACTIONS.size - 1, None]
+                sf = np.clip(pf[:kf], 0.0, col)
+                fs = np.where(pf[:kf] <= col, fpf[:kf], fx)
+                best = combine(best, reduce(op(fs, self.g.eval_many(col - sf)), axis=1))
+            out[at] = best
         return np.clip(out, 0.0, 1.0)
 
     @property

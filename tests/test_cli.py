@@ -323,7 +323,11 @@ def _no_work(*args, **kwargs):
      "pncalc.cli.classify_set", f"interval samples must lie in [1, {MAX_SAMPLES}], got {MAX_SAMPLES + 1}"),
     (("axioms", "--space", f"E19:l2,dim={MAX_DIM + 1}"),
      "pncalc.pnspace.default_samples", f"dimension must be <= {MAX_DIM}, got {MAX_DIM + 1}"),
-], ids=["cauchy-horizon", "grid", "samples", "dim"])
+] + [
+    (("convolve", "--lhs", "ratio:1", "--rhs", "ratio:2", "--xmax", xmax),
+     "pncalc.cli.from_spec", f"grid x_max must be positive and finite, got {float(xmax)!r}")
+    for xmax in ("inf", "nan", "0", "-1")
+], ids=["cauchy-horizon", "grid", "samples", "dim", "xmax-inf", "xmax-nan", "xmax-0", "xmax-negative"])
 def test_size_above_its_bound_is_a_usage_error(capsys, monkeypatch, argv, target, message):
     monkeypatch.setattr(target, _no_work)
     code, out, err = run_cli(capsys, *argv)

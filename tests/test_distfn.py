@@ -223,6 +223,14 @@ def test_scale_arg_on_ratio():
         assert g.eval(x) == pytest.approx(f.eval(x / 2.0))
 
 
+def test_scale_arg_drops_abscissae_that_overflow():
+    assert Step((1.0, 1e308), (0.0, 0.2, 0.9)).scale_arg(3.0) == Step((3.0,), (0.0, 0.2))
+    assert Grid((1.0, 1e308), (0.2, 0.5)).scale_arg(3.0) == Grid((3.0,), (0.2,))
+    assert Grid((1e308,), (0.5,)).scale_arg(3.0) == EPS_INF
+    # x / (x + beta) tends to 0 at every x as beta grows
+    assert Ratio(1e154).scale_arg(1e300) == EPS_INF
+
+
 def test_scale_arg_rejects_nonpositive():
     with pytest.raises(ValueError):
         eps(1.0).scale_arg(0.0)

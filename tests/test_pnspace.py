@@ -344,6 +344,18 @@ def test_scaling_identity_holds_for_homogeneous_steps():
     assert serstnev_check(make_space("E19", dim=2)).holds
 
 
+@pytest.mark.parametrize("name, vector, alpha", [
+    ("E27", 1e308, 3.0),
+    ("E19", 1e308, 3.0),
+    ("E25", 1e308, 1e300),
+])
+def test_scaling_identity_decided_when_the_scaled_norm_overflows(name, vector, alpha):
+    # |alpha p| overflows, so nu_{alpha p} is its limit eps(inf), and
+    # scaling the argument of nu_p overflows to the same limit
+    rep = serstnev_check(make_space(name), SampleSpec(vectors=((vector,),), alphas=(alpha,)))
+    assert rep.holds
+
+
 def test_scaling_identity_violated_for_e9_with_expected_witness():
     rep = serstnev_check(make_space("E9", a=1.0))
     assert not rep.holds

@@ -392,11 +392,25 @@ _LAZY_PAIRS = {
 _LONG = np.geomspace(1e-3, 64.0, 3 * (_BLOCK // _FRACTIONS.size) + 100)
 
 
-def _lazy_xs(f, g):
-    """A tiny abscissa, the operands' exact probe points and the long
-    geometric set, in that order."""
-    probes = sorted({float(p) for p in f.probe_xs() + g.probe_xs() if p > 0.0})
-    return np.concatenate([[1e-300], probes, _LONG])
+def _cut_xs(f, g):
+    """Abscissae around the kernel's cut, shuffled with some repeated: a
+    tiny one below every probe point, each left (pf) and right (pg) probe
+    entry of the kernel with its neighbours one ulp either side, and two
+    above every probe point."""
+    pg = _probe_array(g)
+    entries = np.concatenate([_probe_array(f), pg, np.nextafter(pg, -INF)])
+    cut = np.concatenate([np.nextafter(entries, -INF), entries, np.nextafter(entries, INF)])
+    head = np.concatenate([[1e-300], cut[cut > 0.0], [2.0 * entries.max(), 1e6]])
+    rng = np.random.default_rng(0)
+    return rng.permutation(np.concatenate([head, head[::5]]))
+
+
+def _decade_xs(f, g):
+    """One block of rows per decade from 1e-3 to 100, so that the block
+    seams fall between decades."""
+    rows = _BLOCK // (_FRACTIONS.size + _probe_array(f).size + 2 * _probe_array(g).size)
+    return np.concatenate([np.geomspace(10.0**k, 10.0**(k + 1), rows, endpoint=False)
+                           for k in range(-3, 2)])
 
 
 @pytest.mark.parametrize("maximize", [True, False], ids=["sup", "inf"])
@@ -405,9 +419,10 @@ def test_lazy_kernel_equals_reference_kernel(monkeypatch, name, maximize):
     t = get_tnorm(name)
     for label, (f, g) in _LAZY_PAIRS.items():
         d1 = LazyConv(t, f, g, maximize)
-        xs = _lazy_xs(f, g)
+        xs = _cut_xs(f, g)
         cases = {
-            "depth 1": (d1, xs),
+            "depth 1": (d1, np.concatenate([xs, _LONG])),
+            "decade seams": (d1, _decade_xs(f, g)),
             "depth 2 left": (LazyConv(t, d1, Ratio(2.1), maximize), xs[:24]),
             "depth 2 right": (LazyConv(t, Ratio(2.1), d1, maximize), xs[:24]),
             "depth 3 left": (LazyConv(t, LazyConv(t, d1, Ratio(2.1), maximize), Ratio(0.4), maximize),
@@ -417,11 +432,30 @@ def test_lazy_kernel_equals_reference_kernel(monkeypatch, name, maximize):
             got = r.eval_many(pts)
             want = _on_reference(monkeypatch, lambda: r.eval_many(pts))
             assert np.array_equal(got, want), (label, depth)
+        # one abscissa per call tops its own block, so the cut falls at it
+        one_by_one = lambda: [d1.eval(float(x)) for x in xs]
+        assert one_by_one() == _on_reference(monkeypatch, one_by_one), label
         got = d1.materialize()
         assert got.vs == _on_reference(monkeypatch, d1.materialize).vs, label
         for other in (Ratio(2.0), Plateau(0.5)):
             for a, b in ((d1, other), (other, d1)):
                 assert compare_leq(a, b) == _on_reference(monkeypatch, lambda: compare_leq(a, b)), label
+
+
+def test_lazy_kernel_reads_right_operand_only_below_the_cut(monkeypatch):
+    # G is read only at splits that are not endpoint duplicates: 91,092
+    # points, where reading every probe column took 140,756
+    seen = []
+    g_eval = Ratio._eval_pos_many
+
+    def counted(self, xs):
+        if self.beta == 1.3:
+            seen.append(xs.size)
+        return g_eval(self, xs)
+
+    monkeypatch.setattr(Ratio, "_eval_pos_many", counted)
+    sup_conv(get_tnorm("min"), Ratio(0.7), Ratio(1.3)).eval_many(np.geomspace(1e-3, 64.0, 1024))
+    assert sum(seen) == 91092
 
 
 _DEPTH3_UNDER_512MB = """
