@@ -250,7 +250,9 @@ def convergent_set_bound(
 ) -> SequenceBoundResult:
     """Build a proper lower bound H for the image of a convergent sequence:
     take G = pointwise min of the tail difference norms, then
-    H = min(nu_{p_1}, ..., nu_{p_{N-1}}, tau(G, nu_target)).
+    H = min(nu_{p_1}, ..., nu_{p_{N-1}}, tau(G, nu_target)).  Under the
+    ``pnspace.Family`` contract each of the two minima over norms is the
+    norm at the largest magnitude, as for the radius.
 
     Premises checked on samples: the norm maps into the proper functions,
     tau preserves properness on sampled pairs, and the sequence enters the
@@ -270,10 +272,10 @@ def convergent_set_bound(
     if not verdict.succeeded:
         return SequenceBoundResult("premise_not_convergent", None, None, False)
     n = verdict.n
-    tail = [space.norm_of(vec_sub(terms[m - 1], target)) for m in range(n, horizon + 1)]
-    g = pointwise_min(tail)
-    head = [space.norm_of(terms[m - 1]) for m in range(1, n)]
-    h = pointwise_min(head + [space.tau(g, space.norm_of(target))])
+    g = space.norm_at_magnitude(max(space.magnitude(vec_sub(p, target)) for p in terms[n - 1:]))
+    h = space.tau(g, space.norm_of(target))
+    if n > 1:
+        h = pointwise_min([space.norm_at_magnitude(max(map(space.magnitude, terms[:n - 1]))), h])
     ok = h.in_d_plus(max(tol, 1e-6)) and all(
         compare_leq(h, space.norm_of(p), 1e-9).holds for p in terms
     )

@@ -34,18 +34,20 @@ GRID_TOL = 1e-6
 #: take under 0.1 s (on a 2-CPU x86 host)
 MAX_GRID = 16384
 
+#: first grid sample as a fraction of the grid's x_max
+X_MIN_FRAC = 1e-6
+
 
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling policy for operations that have no exact path.
 
     Points are geometrically spaced on (0, x_max]; the first sample sits
-    at ``x_max * x_min_frac``.
+    at ``x_max * X_MIN_FRAC``.
     """
 
     n: int = 1024
     x_max: float = 64.0
-    x_min_frac: float = 1e-6
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_GRID:
@@ -54,7 +56,7 @@ class GridSpec:
             raise ValueError(f"grid x_max must be positive and finite, got {self.x_max!r}")
 
     def points(self) -> np.ndarray:
-        return np.geomspace(self.x_max * self.x_min_frac, self.x_max, self.n)
+        return np.geomspace(self.x_max * X_MIN_FRAC, self.x_max, self.n)
 
 
 DEFAULT_GRID = GridSpec()
@@ -101,8 +103,10 @@ class DistFn:
 
     def scale_arg(self, a: float) -> "DistFn":
         """The function x -> F(x / a) for a > 0.  A jump or sample scaled
-        past the largest float drops out, as it never shows at finite x;
-        a Ratio whose scale overflows becomes its pointwise limit, eps(inf)."""
+        past the largest float drops out, as it never shows at finite x,
+        and jumps that scaling rounds onto one abscissa merge; a Ratio
+        whose scale overflows or underflows becomes its pointwise limit,
+        eps(inf) or eps(0)."""
         raise NotImplementedError
 
     def probe_xs(self) -> tuple[float, ...]:
@@ -182,9 +186,7 @@ class Step(DistFn):
 
     def scale_arg(self, a: float) -> "Step":
         a = self._check_scale(a)
-        bps = [b * a for b in self.breakpoints]
-        k = bisect.bisect_left(bps, INF)
-        return Step(tuple(bps[:k]), self.levels[:k + 1])
+        return make_step([b * a for b in self.breakpoints], self.levels)
 
     def probe_xs(self) -> tuple[float, ...]:
         return self.breakpoints
@@ -251,8 +253,10 @@ class Ratio(DistFn):
     def scale_arg(self, a: float) -> "DistFn":
         a = self._check_scale(a)
         beta = self.beta * a
-        # x / (x + beta) tends to 0 at every x as beta grows
-        return Ratio(beta) if beta < INF else EPS_INF
+        # x / (x + beta) tends to 0 at every x as beta grows, to 1 as it shrinks
+        if beta == INF:
+            return EPS_INF
+        return Ratio(beta) if beta > 0.0 else EPS0
 
     def probe_xs(self) -> tuple[float, ...]:
         return tuple(self.beta * _RATIO_LADDER)
@@ -437,11 +441,11 @@ def distfn_equal(f: DistFn, g: DistFn, tol: float | None = None) -> bool:
     return compare_leq(f, g, tol).holds and compare_leq(g, f, tol).holds
 
 
-def is_eps0(f: DistFn, tol: float = 0.0) -> bool:
+def is_eps0(f: DistFn) -> bool:
     """True when F is (pointwise) the maximal element: 1 on all of (0, +inf)."""
     step = f.as_exact_step()
     if step is not None:
-        return step.plateau >= 1.0 - tol and all(b <= 0.0 for b in step.breakpoints)
+        return step.plateau >= 1.0 and all(b <= 0.0 for b in step.breakpoints)
     return False
 
 

@@ -244,7 +244,6 @@ class SampleSpec:
     vectors: tuple[Vector, ...]
     lambdas: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     alphas: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
-    seed: int = 0
 
 
 _MAGNITUDES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0, 8.0, -8.0)

@@ -231,6 +231,14 @@ def test_scale_arg_drops_abscissae_that_overflow():
     assert Ratio(1e154).scale_arg(1e300) == EPS_INF
 
 
+def test_scale_arg_takes_the_limit_when_scaling_underflows():
+    # jumps that round onto one abscissa merge, keeping the higher level
+    assert Step((1e-300, 2e-300), (0.0, 0.5, 1.0)).scale_arg(1e-30) == EPS0
+    assert Step((1e-300, 1.0), (0.0, 0.5, 1.0)).scale_arg(1e-30) == Step((0.0, 1e-30), (0.0, 0.5, 1.0))
+    # x / (x + beta) tends to 1 at every x > 0 as beta shrinks
+    assert Ratio(1e-300).scale_arg(1e-300) == EPS0
+
+
 def test_scale_arg_rejects_nonpositive():
     with pytest.raises(ValueError):
         eps(1.0).scale_arg(0.0)

@@ -356,6 +356,13 @@ def test_scaling_identity_decided_when_the_scaled_norm_overflows(name, vector, a
     assert rep.holds
 
 
+def test_scaling_identity_decided_when_scaling_underflows():
+    # |alpha p| underflows to 0, so nu_{alpha p} is eps(0), and the ratio
+    # scale of nu_p underflows to the same limit
+    rep = serstnev_check(make_space("E25"), SampleSpec(vectors=((1e-300,),), alphas=(1e-300,)))
+    assert rep.holds
+
+
 def test_scaling_identity_violated_for_e9_with_expected_witness():
     rep = serstnev_check(make_space("E9", a=1.0))
     assert not rep.holds
