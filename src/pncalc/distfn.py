@@ -9,6 +9,12 @@ partially ordered pointwise.  Four representations are provided:
 * ``Ratio``   -- the scale family x / (x + beta),
 * ``Grid``    -- a sampled curve, read as a step function from below.
 
+The order test ``compare_leq`` is exact when both operands are
+step-like (Step or Plateau): it walks the cells of their merged jumps,
+on each of which both are constant.  When a Ratio, a Grid or a lazy
+convolution is involved it reads both operands at a merged probe set,
+so a violation between probe points can go unseen.
+
 All values are immutable after construction and every operation is a
 pure function, so concurrent use of shared values is safe.
 """
@@ -413,13 +419,25 @@ def merged_probe_xs(f: DistFn, g: DistFn | None = None, extra=()) -> np.ndarray:
 
 
 def compare_leq(f: DistFn, g: DistFn, tol: float | None = None) -> Comparison:
-    """Pointwise order test F <= G + tol over the merged probe set.
+    """Pointwise order test F <= G + tol.
 
-    Default tolerance is 0 for exact representations and ``GRID_TOL``
-    when a sampled operand is involved.
+    Two step-like operands (Step or Plateau: ``as_exact_step`` is not
+    None) are compared exactly, one walk over the cells of their merged
+    jumps; a pair with a Ratio, Grid or lazy convolution on either side
+    is sampled over the merged probe set.  Default tolerance is 0 for
+    exact representations and ``GRID_TOL`` when a sampled operand is
+    involved.
     """
     if tol is None:
         tol = GRID_TOL if (f.is_approximate or g.is_approximate) else 0.0
+    a, b = f.as_exact_step(), g.as_exact_step()
+    if a is not None and b is not None:
+        return _compare_steps(a, b, tol)
+    return _compare_sampled(f, g, tol)
+
+
+def _compare_sampled(f: DistFn, g: DistFn, tol: float) -> Comparison:
+    """The order test read at the merged probe abscissae."""
     xs = merged_probe_xs(f, g)
     diff = f.eval_many(xs) - g.eval_many(xs)
     k = int(np.argmax(diff))
@@ -427,6 +445,42 @@ def compare_leq(f: DistFn, g: DistFn, tol: float | None = None) -> Comparison:
     if gap <= tol:
         return Comparison(True, None, gap)
     return Comparison(False, float(xs[k]), gap)
+
+
+def _compare_steps(f: Step, g: Step, tol: float) -> Comparison:
+    """The order test on two steps, exact: both are constant on each cell
+    (lo, u] of their merged jumps, so one read per cell decides it.
+
+    A cell is read where the probe set reads it first, at its midpoint or
+    at u when the midpoint rounds onto lo or overflows, and the last cell
+    at lo + 1 or 2 lo + 2.  So the first largest gap, its witness and the
+    floor of 0 from the read at x = 0 are those of the sampled path.  Where
+    both of those round onto lo or overflow, the sampled path never reads
+    the last cell; this reads it at the next float above lo, unless lo is
+    the largest float and the cell holds no finite x.
+    """
+    fb, fl, gb, gl = f.breakpoints, f.levels, g.breakpoints, g.levels
+    gap, witness = 0.0, 0.0
+    lo = 0.0
+    # 0.0 goes in first, so a jump at -0.0 merges into it
+    for u in sorted({0.0, *fb, *gb})[1:]:
+        d = fl[bisect.bisect_left(fb, u)] - gl[bisect.bisect_left(gb, u)]
+        if d > gap:
+            mid = (lo + u) / 2.0
+            gap, witness = d, (mid if lo < mid < INF else u)
+        lo = u
+    d = fl[-1] - gl[-1]
+    if d > gap:
+        x = lo + 1.0
+        if x == lo:
+            x = 2.0 * lo + 2.0
+        if x == INF:
+            x = math.nextafter(lo, INF)
+        if x < INF:  # past a jump at the largest float the cell is empty
+            gap, witness = d, x
+    if gap <= tol:
+        return Comparison(True, None, float(gap))
+    return Comparison(False, float(witness), float(gap))
 
 
 def check_tol(tol: float) -> None:
@@ -504,14 +558,13 @@ def pointwise_min(fns) -> DistFn:
 
 
 def _min_steps(steps) -> Step:
-    bset: set[float] = set()
-    for s in steps:
-        bset.update(s.probe_xs())
-    bps = sorted(bset)
+    bps = sorted(set().union(*(s.probe_xs() for s in steps)))
     if not bps:
         return EPS_INF
-    reps = bps[1:] + [bps[-1] + 1.0]
-    levels = [0.0] + [min(s.eval(r) for s in steps) for r in reps]
+    # each jump rises to the minimum on the cell above it; the last cell is
+    # read from the plateaus, as bps[-1] + 1 rounds onto a jump at 2^53 or above
+    levels = [0.0] + [min(s.eval(r) for s in steps) for r in bps[1:]]
+    levels.append(min(s.plateau for s in steps))
     return make_step(bps, levels)
 
 

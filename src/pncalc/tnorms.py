@@ -4,8 +4,8 @@ Each t-norm has one definition, an elementwise function over broadcast
 arrays; a call on two floats reads the same function, so the exact step
 kernel, the lazy kernel and the law suite compute the same values.  The
 identities hold bit for bit: T(x, 1) = x and S(x, 0) = x, where the
-closed form of t2 or the round trip 1 - (1 - x) of a conorm would lose
-an ulp.
+closed form of t2, Lukasiewicz's x + 1 - 1 or the round trip 1 - (1 - x)
+of a conorm would lose an ulp.
 """
 
 from __future__ import annotations
@@ -30,7 +30,13 @@ def _t2(a, b) -> np.ndarray:
 
 
 def _lukasiewicz(a, b) -> np.ndarray:
-    return np.maximum(np.asarray(a) + np.asarray(b) - 1.0, 0.0)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.asarray(np.maximum(a + b - 1.0, 0.0))
+    # x + 1 - 1 rounds x to a multiple of 2^-52; 1 is the identity exactly
+    np.copyto(out, a, where=b >= 1.0)
+    np.copyto(out, b, where=a >= 1.0)
+    return out
 
 
 @dataclass(frozen=True)

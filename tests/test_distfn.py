@@ -2,11 +2,13 @@
 weak-convergence distance, and membership in the proper subset."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pncalc import distfn
 from pncalc.distfn import (
     EPS0,
     EPS_INF,
@@ -167,6 +169,71 @@ def test_order_antisymmetry_on_steps(c, d):
         assert distfn_equal(eps(c), eps(d))
 
 
+def _random_jump(rng: random.Random) -> float:
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice((0.0, -0.0))
+    if kind == 1:
+        return rng.uniform(0.0, 4.0)
+    if kind == 2:
+        return rng.randrange(9) / 4.0  # jumps the other side shares
+    if kind == 3:
+        return 2.0**53 * rng.choice((1, 1.5, 2, 64)) + rng.choice((0.0, 2.0, 4.0))
+    if kind == 4:
+        return rng.uniform(1e15, 1e18)
+    return rng.choice((1e307, 8.9e307, 9e307, 1e308, 1.7e308, 1.7976931348623157e308))
+
+
+def _random_step_like(rng: random.Random):
+    if rng.random() < 0.15:
+        return Plateau(rng.choice((0.0, 0.5, 1.0, rng.random())))
+    bps = []
+    for _ in range(rng.choice((0, 1, 1, 2, 3, 5))):
+        b = _random_jump(rng)
+        bps.append(b)
+        if rng.random() < 0.3:
+            bps.append(math.nextafter(b, INF))  # the adjacent float
+    levels = sorted(rng.choice((rng.random(), 0.25, 0.5, 1.0)) for _ in bps)
+    return make_step(bps, [0.0] + levels)
+
+
+def test_step_walk_matches_the_probe_path():
+    # the walk reads each cell where the merged probe set reads it first,
+    # so it gives the sampled path's holds, witness and gap bit for bit
+    # wherever that path reads the last cell, i.e. where 2 lo + 2 is finite
+    rng = random.Random(12)
+    compared = past_probes = 0
+    while compared < 20_000:
+        f, g = _random_step_like(rng), _random_step_like(rng)
+        tol = rng.choice((0.0, 1e-9, 0.3))
+        a, b = f.as_exact_step(), g.as_exact_step()
+        got = compare_leq(f, g, tol)
+        assert isinstance(got.gap, float)
+        if not got.holds:
+            assert type(got.witness) is float
+            assert f.eval(got.witness) - g.eval(got.witness) == got.gap
+        lo = max((0.0, *a.breakpoints, *b.breakpoints))
+        if math.isinf(2.0 * lo + 2.0):
+            past_probes += 1
+            continue
+        want = distfn._compare_sampled(a, b, tol)
+        assert (got.holds, got.witness, got.gap) == (want.holds, want.witness, want.gap), (f, g, tol)
+        compared += 1
+    assert past_probes > 1000
+
+
+def test_step_walk_reads_the_cell_past_a_jump_near_the_largest_float():
+    # lo + 1 rounds to lo and 2 lo + 2 overflows, so the probe set never
+    # reads the cell past the jump, where eps(1e308) exceeds 0.5
+    f, g = Step((1e308,), (0.0, 1.0)), Plateau(0.5)
+    assert distfn._compare_sampled(f, g, 0.0).holds
+    c = compare_leq(f, g)
+    assert not c.holds
+    assert 1e308 < c.witness < INF and c.gap == 0.5
+    # past a jump at the largest float no finite x is left to read
+    assert compare_leq(Step((1.7976931348623157e308,), (0.0, 1.0)), g).holds
+
+
 # ------------------------------------------------------------ levy distance
 
 def test_levy_identity_and_symmetry():
@@ -318,6 +385,13 @@ def test_pointwise_min_of_steps_is_exact():
     assert m.eval(1.5) == 0.0
     assert m.eval(2.5) == 0.5
     assert m.eval(3.5) == 1.0
+    # bps[-1] + 1 rounds onto a jump at 2^53 or above; the last level is
+    # the smaller plateau
+    assert pointwise_min([eps(2.0**60), eps(2.0**60)]) == eps(2.0**60)
+    assert pointwise_min([eps(2.0**53), eps(1.0)]) == eps(2.0**53)
+    assert max_tf(eps(1e17), EPS0) == eps(1e17)
+    assert max_tf(EPS0, eps(1e308)) == eps(1e308)
+    assert pointwise_min([Step((1e17,), (0.0, 0.5)), Plateau(0.7)]) == Step((1e17,), (0.0, 0.5))
 
 
 def test_pointwise_min_of_ratios():
