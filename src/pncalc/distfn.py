@@ -11,9 +11,10 @@ partially ordered pointwise.  Four representations are provided:
 
 The order test ``compare_leq`` is exact when both operands are
 step-like (Step or Plateau): it walks the cells of their merged jumps,
-on each of which both are constant.  When a Ratio, a Grid or a lazy
-convolution is involved it reads both operands at a merged probe set,
-so a violation between probe points can go unseen.
+on each of which both are constant.  Ratio(a) <= Ratio(b) holds exactly
+when a >= b.  Any other pair with a Ratio, a Grid or a lazy convolution
+is read at a merged probe set, so a violation between probe points can
+go unseen.
 
 All values are immutable after construction and every operation is a
 pure function, so concurrent use of shared values is safe.
@@ -22,6 +23,7 @@ pure function, so concurrent use of shared values is safe.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,9 +37,10 @@ DPLUS_TOL = 1e-9
 #: Default comparison tolerance when a sampled (Grid) operand is involved.
 GRID_TOL = 1e-6
 
-#: Largest grid: materializing a depth-1 lazy convolution of two Ratio
-#: operands costs about 2.5 us per point (5 us under t2), so 16384 points
-#: take under 0.1 s (on a 2-CPU x86 host)
+#: Largest grid: materializing a depth-1 lazy convolution that takes the
+#: candidate search (a Grid and a Ratio operand) costs about 3 us per
+#: point (4 us under t2), so 16384 points take under 0.1 s (on a 2-CPU
+#: x86 host); a closed-form pair takes well under 1 us per point
 MAX_GRID = 16384
 
 #: first grid sample as a fraction of the grid's x_max
@@ -229,6 +232,10 @@ class Plateau(DistFn):
         return (0.0,)
 
     def as_exact_step(self) -> Step:
+        return self._step
+
+    @functools.cached_property
+    def _step(self) -> Step:
         return make_step((0.0,), (0.0, self.gamma))
 
 
@@ -415,7 +422,10 @@ def merged_probe_xs(f: DistFn, g: DistFn | None = None, extra=()) -> np.ndarray:
     base = sorted(p for p in pts if p >= 0.0 and not math.isinf(p))
     mids = [(a + b) / 2.0 for a, b in zip(base, base[1:])]
     tail = base[-1] if base else 0.0
-    return np.array(sorted(set(base + mids + [tail + 1.0, 2.0 * tail + 2.0])))
+    far = 2.0 * tail + 2.0
+    if far == INF:  # past a jump above about 9e307, as in _compare_steps
+        far = math.nextafter(tail, INF)
+    return np.array(sorted(set(base + mids + [tail + 1.0, far])))
 
 
 def compare_leq(f: DistFn, g: DistFn, tol: float | None = None) -> Comparison:
@@ -423,16 +433,19 @@ def compare_leq(f: DistFn, g: DistFn, tol: float | None = None) -> Comparison:
 
     Two step-like operands (Step or Plateau: ``as_exact_step`` is not
     None) are compared exactly, one walk over the cells of their merged
-    jumps; a pair with a Ratio, Grid or lazy convolution on either side
-    is sampled over the merged probe set.  Default tolerance is 0 for
-    exact representations and ``GRID_TOL`` when a sampled operand is
-    involved.
+    jumps, and Ratio(a) <= Ratio(b) holds by a >= b; any other pair with
+    a Ratio, Grid or lazy convolution on either side is sampled over the
+    merged probe set.  Default tolerance is 0 for exact representations
+    and ``GRID_TOL`` when a sampled operand is involved.
     """
     if tol is None:
         tol = GRID_TOL if (f.is_approximate or g.is_approximate) else 0.0
     a, b = f.as_exact_step(), g.as_exact_step()
     if a is not None and b is not None:
         return _compare_steps(a, b, tol)
+    if isinstance(f, Ratio) and isinstance(g, Ratio) and f.beta >= g.beta and tol >= 0.0:
+        # what the sampled path finds: every diff <= 0, and 0 at x = 0
+        return Comparison(True, None, 0.0)
     return _compare_sampled(f, g, tol)
 
 
@@ -453,11 +466,10 @@ def _compare_steps(f: Step, g: Step, tol: float) -> Comparison:
 
     A cell is read where the probe set reads it first, at its midpoint or
     at u when the midpoint rounds onto lo or overflows, and the last cell
-    at lo + 1 or 2 lo + 2.  So the first largest gap, its witness and the
-    floor of 0 from the read at x = 0 are those of the sampled path.  Where
-    both of those round onto lo or overflow, the sampled path never reads
-    the last cell; this reads it at the next float above lo, unless lo is
-    the largest float and the cell holds no finite x.
+    at lo + 1, at 2 lo + 2, or where both round onto lo or overflow, at
+    the next float above lo (no finite x is left past the largest float).
+    So the first largest gap, its witness and the floor of 0 from the read
+    at x = 0 are those of the sampled path.
     """
     fb, fl, gb, gl = f.breakpoints, f.levels, g.breakpoints, g.levels
     gap, witness = 0.0, 0.0

@@ -14,7 +14,31 @@ every pair of levels in one array call of the t-norm's single definition,
 then one sweep over the sorted sums of jump abscissae, keeping a running
 max of the post-jump T values over the sums below each cell (sup), or a
 running min of the pre-jump S values over the sums at or above it (inf).
-Otherwise the optimum is searched lazily over a merged candidate set of
+
+Otherwise the result is a ``LazyConv``, evaluated on demand.  Ratio(b) is
+the Dombi generator family, 1/G - 1 = b/x, so for Ratio(a) (+) Ratio(b)
+the optimum over s + t = x has a closed form (Dombi, Fuzzy Sets and
+Systems 8, 1982; Schweizer & Sklar, Probabilistic Metric Spaces, ch. 7):
+
+    t-norm       sup                                  inf
+    min          Ratio(a + b)                         Ratio(a + b)
+    t2           Ratio((a^2/3 + b^2/3)^3/2)           Ratio(hypot(a, b))
+    prod         F(s) G(t) at s = x A/(A + B),        Ratio(max(a, b))
+                 t = x B/(A + B), with
+                 A = sqrt(a) sqrt(x + b),
+                 B = sqrt(b) sqrt(x + a)
+    lukasiewicz  max(0, (x - 2 sqrt(ab))/(x + a + b))  Ratio(max(a, b))
+
+The sup objective is log-concave under prod and concave under
+Lukasiewicz, so its stationary point is the maximum; the inf objective
+under prod and Lukasiewicz is concave, so its minimum sits at an endpoint
+split.  For Plateau(gamma) (+) Ratio(b), in either order, the sup is
+T(gamma, G(x)), the limit of the splits s -> 0+, and the inf is
+min(G(x), gamma), read at the endpoint splits.  A ``LazyConv`` operand
+whose closed form is a Ratio is read as that Ratio, so min and t2 chains
+and every inf chain stay closed at any depth.
+
+Every other pair is searched lazily over a merged candidate set of
 sample points, fixed fractions of x, and breakpoint images.  The lazy search
 runs over the abscissae in ascending row blocks of about ``_BLOCK``
 candidates, so each nesting level holds a bounded number of values, and
@@ -40,6 +64,8 @@ from .distfn import (
     DistFn,
     Grid,
     GridSpec,
+    Plateau,
+    Ratio,
     Step,
     compare_leq,
     distfn_equal,
@@ -91,10 +117,77 @@ def _conv_steps(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:
 
 
 @dataclass(frozen=True)
+class _SplitOptimum(DistFn):
+    """The optimum over s + t = x of a pair in the module table whose
+    closed form is not a Ratio, read per point: Ratio(a) (+) Ratio(b)
+    under the sup of prod or Lukasiewicz, and Plateau(gamma) (+) Ratio(b).
+    It serves only as a ``LazyConv``'s evaluator."""
+
+    tnorm: TNorm
+    f: Ratio | Plateau
+    g: Ratio
+    maximize: bool
+
+    def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
+        if isinstance(self.f, Plateau):
+            gx = self.g._eval_pos_many(xs)
+            if self.maximize:
+                return self.tnorm.fn_np(self.f.gamma, gx)
+            return np.minimum(gx, self.f.gamma)
+        a, b = self.f.beta, self.g.beta
+        if self.tnorm.name == "prod":
+            # the factors keep sqrt(a (x + b)) from overflowing at large x
+            wa = math.sqrt(a) * np.sqrt(xs + b)
+            wb = math.sqrt(b) * np.sqrt(xs + a)
+            s, t = xs * (wa / (wa + wb)), xs * (wb / (wa + wb))
+            return s / (s + a) * (t / (t + b))
+        return np.maximum(0.0, (xs - 2.0 * math.sqrt(a) * math.sqrt(b)) / (xs + a + b))
+
+
+def _read_through(f: DistFn) -> DistFn:
+    """A lazy result whose closed form is a Ratio, read as that Ratio."""
+    if isinstance(f, LazyConv) and isinstance(f.closed, Ratio):
+        return f.closed
+    return f
+
+
+def _closed_form(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn | None:
+    """The convolution of F and G in closed form, from the module table,
+    or None when the pair has none (or its Ratio scale overflows)."""
+    f, g = _read_through(f), _read_through(g)
+    if isinstance(g, Plateau):
+        f, g = g, f
+    if not isinstance(g, Ratio):
+        return None
+    if isinstance(f, Plateau):
+        return _SplitOptimum(t, f, g, maximize)
+    if not isinstance(f, Ratio):
+        return None
+    a, b = f.beta, g.beta
+    if t.name == "min":
+        beta = a + b
+    elif t.name == "t2":
+        # (a^2/3 + b^2/3)^3/2 with the larger scale factored out: a float
+        # power that overflows raises, a product only rounds to inf
+        hi, lo = max(a, b), min(a, b)
+        beta = hi * (1.0 + (lo / hi) ** (2.0 / 3.0)) ** 1.5 if maximize else math.hypot(a, b)
+    elif maximize:
+        return _SplitOptimum(t, f, g, True)
+    else:
+        beta = max(a, b)
+    return Ratio(beta) if beta < INF else None
+
+
+@dataclass(frozen=True)
 class LazyConv(DistFn):
-    """Convolution evaluated on demand: at each x, T(F(s), G(x-s)) is
-    optimized over endpoint splits, fixed fractions of x, and both
-    operands' probe abscissae (in both orientations).
+    """Convolution evaluated on demand.
+
+    When ``closed`` is set (``sup_conv`` and ``inf_conv`` set it for the
+    pairs in the module table), each value is read from that closed form.
+    Otherwise, at each x, T(F(s), G(x-s)) is optimized over endpoint
+    splits, fixed fractions of x, and both operands' probe abscissae (in
+    both orientations).  A ``LazyConv`` built directly has no closed form
+    and takes the search.
 
     The abscissae are walked in ascending blocks, and a block reads only
     the probe points at or below its largest x.  The cut is exact: a
@@ -103,13 +196,16 @@ class LazyConv(DistFn):
 
     The search can only miss the optimum, so the sup path never
     overestimates and the inf path never underestimates the true
-    convolution; the plateau is exact (see ``conv_plateau``).
+    convolution; the plateau is exact (see ``conv_plateau``).  Values
+    stay flagged approximate either way, so default tolerances do not
+    depend on which path a pair takes.
     """
 
     tnorm: TNorm
     f: DistFn
     g: DistFn
     maximize: bool
+    closed: DistFn | None = None
 
     is_approximate = True
 
@@ -118,6 +214,8 @@ class LazyConv(DistFn):
 
     def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
+        if self.closed is not None:
+            return self.closed._eval_pos_many(xs)
         pf = np.sort(_probe_array(self.f))
         pg = _probe_array(self.g)
         pg = np.sort(np.concatenate([pg, np.nextafter(pg, -INF)]))
@@ -162,7 +260,9 @@ class LazyConv(DistFn):
     def scale_arg(self, a: float) -> "LazyConv":
         # sup_{s+t=x/a} T(F(s), G(t)) rewrites to the convolution of the
         # argument-scaled operands, so scaling distributes
-        return LazyConv(self.tnorm, self.f.scale_arg(a), self.g.scale_arg(a), self.maximize)
+        f, g = self.f.scale_arg(a), self.g.scale_arg(a)
+        closed = None if self.closed is None else _closed_form(self.tnorm, f, g, self.maximize)
+        return LazyConv(self.tnorm, f, g, self.maximize, closed)
 
     def probe_xs(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.f.probe_xs()) | set(self.g.probe_xs())))
@@ -183,7 +283,7 @@ def _convolve(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn:
     a, b = f.as_exact_step(), g.as_exact_step()
     if a is not None and b is not None:
         return _conv_steps(t, a, b, maximize)
-    return LazyConv(t, f, g, maximize)
+    return LazyConv(t, f, g, maximize, _closed_form(t, f, g, maximize))
 
 
 def sup_conv(t: TNorm, f: DistFn, g: DistFn) -> DistFn:

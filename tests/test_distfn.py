@@ -47,6 +47,15 @@ def test_plateau_boundary_levels():
     assert distfn_equal(eps(INF), EPS_INF)
 
 
+def test_plateau_builds_its_exact_step_once():
+    p = Plateau(0.35)
+    first = p.as_exact_step()
+    assert first == make_step((0.0,), (0.0, 0.35))
+    assert p.as_exact_step() is first
+    # the cached step is not a field: equality and hashing still read gamma
+    assert p == Plateau(0.35) and hash(p) == hash(Plateau(0.35))
+
+
 def test_ratio_closed_form():
     f = from_spec("ratio:2")
     assert f.eval(2.0) == pytest.approx(0.5)  # x / (x + 2) at x = 2
@@ -149,6 +158,20 @@ def test_ratio_order_reverses_scale():
     assert not compare_leq(Ratio(1.0), Ratio(2.0), 0.0).holds
 
 
+def test_ratio_order_by_scale_matches_the_probe_path():
+    # a pair that holds by its scales gives what the sampled path gives,
+    # bit for bit; a failing pair is still sampled
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        a, b = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        if rng.random() < 0.1:
+            b = a
+        f, g = Ratio(float(a)), Ratio(float(b))
+        for tol in (0.0, 1e-9, 1e-6):
+            got, want = compare_leq(f, g, tol), distfn._compare_sampled(f, g, tol)
+            assert (got.holds, got.witness, got.gap) == (want.holds, want.witness, want.gap), (a, b, tol)
+
+
 def test_violation_carries_witness():
     c = compare_leq(eps(1.0), eps(2.0), 0.0)
     assert not c.holds
@@ -199,11 +222,12 @@ def _random_step_like(rng: random.Random):
 
 def test_step_walk_matches_the_probe_path():
     # the walk reads each cell where the merged probe set reads it first,
-    # so it gives the sampled path's holds, witness and gap bit for bit
-    # wherever that path reads the last cell, i.e. where 2 lo + 2 is finite
+    # so it gives the sampled path's holds, witness and gap bit for bit,
+    # also where 2 lo + 2 overflows and both read the last cell at the
+    # next float above lo
     rng = random.Random(12)
-    compared = past_probes = 0
-    while compared < 20_000:
+    past_probes = 0
+    for _ in range(20_000):
         f, g = _random_step_like(rng), _random_step_like(rng)
         tol = rng.choice((0.0, 1e-9, 0.3))
         a, b = f.as_exact_step(), g.as_exact_step()
@@ -213,23 +237,20 @@ def test_step_walk_matches_the_probe_path():
             assert type(got.witness) is float
             assert f.eval(got.witness) - g.eval(got.witness) == got.gap
         lo = max((0.0, *a.breakpoints, *b.breakpoints))
-        if math.isinf(2.0 * lo + 2.0):
-            past_probes += 1
-            continue
+        past_probes += math.isinf(2.0 * lo + 2.0)
         want = distfn._compare_sampled(a, b, tol)
         assert (got.holds, got.witness, got.gap) == (want.holds, want.witness, want.gap), (f, g, tol)
-        compared += 1
     assert past_probes > 1000
 
 
 def test_step_walk_reads_the_cell_past_a_jump_near_the_largest_float():
-    # lo + 1 rounds to lo and 2 lo + 2 overflows, so the probe set never
-    # reads the cell past the jump, where eps(1e308) exceeds 0.5
+    # lo + 1 rounds to lo and 2 lo + 2 overflows, so both paths read the
+    # cell past the jump, where eps(1e308) exceeds 0.5, at the next float
     f, g = Step((1e308,), (0.0, 1.0)), Plateau(0.5)
-    assert distfn._compare_sampled(f, g, 0.0).holds
     c = compare_leq(f, g)
     assert not c.holds
-    assert 1e308 < c.witness < INF and c.gap == 0.5
+    assert c.witness == math.nextafter(1e308, INF) and c.gap == 0.5
+    assert distfn._compare_sampled(f, g, 0.0) == c
     # past a jump at the largest float no finite x is left to read
     assert compare_leq(Step((1.7976931348623157e308,), (0.0, 1.0)), g).holds
 
@@ -254,6 +275,13 @@ def test_levy_step_against_maximal_matches_closed_form():
 def test_levy_metrizes_weak_convergence_along_harmonic_steps():
     for n in (2, 5, 17, 64):
         assert levy_dist(eps(1.0 / n), EPS0) == pytest.approx(1.0 / n, abs=1e-9)
+
+
+def test_levy_reads_the_cell_past_a_jump_near_the_largest_float():
+    # 2 tail + 2 overflows, so the far tail probe is the next float above
+    # the jump, where eps(1e308) is 1
+    assert levy_dist(eps(1e308), EPS_INF) == 1.0
+    assert levy_dist(eps(1e17), EPS_INF) == 1.0
 
 
 @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(0.0, 3.0))

@@ -11,6 +11,7 @@ import pytest
 
 import pncalc
 
+from pncalc.acceptance import brute_force_sup_conv
 from pncalc.distfn import (
     EPS0,
     EPS_INF,
@@ -31,6 +32,7 @@ from pncalc.triangle import (
     _FRACTIONS,
     LazyConv,
     TriangleFn,
+    _SplitOptimum,
     _probe_array,
     conv_plateau,
     inf_conv,
@@ -444,7 +446,8 @@ def test_lazy_kernel_equals_reference_kernel(monkeypatch, name, maximize):
 
 def test_lazy_kernel_reads_right_operand_only_below_the_cut(monkeypatch):
     # G is read only at splits that are not endpoint duplicates: 91,092
-    # points, where reading every probe column took 140,756
+    # points, where reading every probe column took 140,756; built
+    # directly, so the pair takes the search and not its closed form
     seen = []
     g_eval = Ratio._eval_pos_many
 
@@ -454,8 +457,143 @@ def test_lazy_kernel_reads_right_operand_only_below_the_cut(monkeypatch):
         return g_eval(self, xs)
 
     monkeypatch.setattr(Ratio, "_eval_pos_many", counted)
-    sup_conv(get_tnorm("min"), Ratio(0.7), Ratio(1.3)).eval_many(np.geomspace(1e-3, 64.0, 1024))
+    LazyConv(get_tnorm("min"), Ratio(0.7), Ratio(1.3), True).eval_many(np.geomspace(1e-3, 64.0, 1024))
     assert sum(seen) == 91092
+
+
+# ------------------------------------------------------------ closed forms
+
+_TNORMS = ("min", "prod", "lukasiewicz", "t2")
+#: which Ratio (+) Ratio pairs have a Ratio as their closed form
+_RATIO_FORMS = {("min", True), ("t2", True), ("min", False), ("prod", False),
+                ("lukasiewicz", False), ("t2", False)}
+
+
+def _closed_pairs():
+    """Ratio pairs whose scale ratios span 1e-3 to 1e3, and Plateau (+)
+    Ratio in both orders."""
+    rng = np.random.default_rng(21)
+    pairs = []
+    for ratio in (1e-3, 0.1, 1.0, 7.0, 1e3):
+        a = float(10.0 ** rng.uniform(-1.0, 1.0))
+        pairs.append((Ratio(a), Ratio(a * ratio)))
+    return pairs + [(Plateau(0.37), Ratio(2.5)), (Ratio(0.4), Plateau(0.81))]
+
+
+def _far_bound(t, f, g, x, maximize, n):
+    """A bound on the convolution at x from the far side of the split
+    grid: on [s_k, s_k+1] both operands are monotone, so T(F(s_k+1),
+    G(x - s_k)) bounds the sup from above there, and S(F(s_k),
+    G(x - s_k+1)) the inf from below."""
+    ss = np.linspace(0.0, x, n)
+    fv, gv = f.eval_many(ss), g.eval_many(x - ss)
+    if maximize:
+        return float(np.max(t.fn_np(fv[1:], gv[:-1])))
+    return float(np.min(t.conorm.fn_np(fv[:-1], gv[1:])))
+
+
+@pytest.mark.parametrize("maximize", [True, False], ids=["sup", "inf"])
+@pytest.mark.parametrize("name", _TNORMS)
+def test_closed_forms_match_a_dense_split_oracle(name, maximize):
+    # the oracle reads the definition over 20,001 splits; it may come
+    # within rounding of a closed form but never beat it by more, and the
+    # closed form stays inside the grid's bound from the other side
+    t = get_tnorm(name)
+    ulps = 4.0 * np.spacing(1.0)
+    n = 20_001
+    for f, g in _closed_pairs():
+        r = (sup_conv if maximize else inf_conv)(t, f, g)
+        assert isinstance(r, LazyConv) and r.closed is not None
+        if isinstance(f, Ratio) and isinstance(g, Ratio):
+            assert isinstance(r.closed, Ratio) == ((name, maximize) in _RATIO_FORMS)
+        scale = max(getattr(h, "beta", 0.0) for h in (f, g))
+        for x in scale * np.geomspace(1e-3, 1e3, 9):
+            x = float(x)
+            got, far = r.eval(x), _far_bound(t, f, g, x, maximize, n)
+            if maximize:
+                assert brute_force_sup_conv(t, f, g, x, n) <= got + ulps <= far + 2.0 * ulps, (f, g, x)
+            else:
+                assert far - 2.0 * ulps <= got - ulps <= brute_inf(t, f, g, x, n), (f, g, x)
+
+
+def test_closed_forms_reach_the_optima_the_search_misses():
+    # the search can only miss the optimum, so it never beats a closed
+    # form; under min it falls short by about 1e-2 (sup) and 1.4e-2 (inf)
+    x = np.geomspace(0.05, 20.0, 64)
+    for name in _TNORMS:
+        t = get_tnorm(name)
+        for maximize, sign in ((True, 1.0), (False, -1.0)):
+            closed = _conv_exact(t, Ratio(0.7), Ratio(1.3), maximize).eval_many(x)
+            searched = LazyConv(t, Ratio(0.7), Ratio(1.3), maximize).eval_many(x)
+            short = sign * (closed - searched)
+            assert short.min() >= -1e-15, (name, maximize)
+            if name == "min":
+                assert short.max() > 5e-3
+
+
+def test_closed_forms_raise_no_warning_at_extreme_abscissae():
+    # the factored sup:prod form keeps sqrt(a (x + b)) finite; pytest
+    # turns a RuntimeWarning into an error
+    xs = np.geomspace(1e-300, 1e300, 121)
+    for a, b in ((0.7, 1.3), (1e-3, 1e3), (1e154, 3e153)):
+        for name in _TNORMS:
+            t = get_tnorm(name)
+            for conv in (sup_conv, inf_conv):
+                for f, g in ((Ratio(a), Ratio(b)), (Plateau(0.6), Ratio(b))):
+                    vals = conv(t, f, g).eval_many(xs)
+                    assert np.all((vals >= 0.0) & (vals <= 1.0))
+                    assert np.all(np.diff(vals) >= -1e-15)
+
+
+def test_min_and_t2_chains_and_inf_chains_stay_ratio():
+    a, b, c, d = 0.7, 1.3, 2.1, 0.4
+    ra, rb, rc, rd = Ratio(a), Ratio(b), Ratio(c), Ratio(d)
+    for conv in (sup_conv, inf_conv):
+        t = get_tnorm("min")
+        r = conv(t, conv(t, conv(t, ra, rb), rc), rd)
+        assert isinstance(r, LazyConv) and r.closed == Ratio(a + b + c + d)
+        xs = np.geomspace(1e-3, 64.0, 50)
+        assert np.allclose(r.eval_many(xs), Ratio(a + b + c + d).eval_many(xs), rtol=0.0, atol=1e-15)
+    t2 = get_tnorm("t2")
+    assert sup_conv(t2, sup_conv(t2, ra, rb), rc).closed.beta == pytest.approx(
+        (a ** (2 / 3) + b ** (2 / 3) + c ** (2 / 3)) ** 1.5, rel=1e-14)
+    assert inf_conv(t2, inf_conv(t2, ra, rb), rc).closed.beta == pytest.approx(np.sqrt(a * a + b * b + c * c), rel=1e-14)
+    for name in ("prod", "lukasiewicz"):
+        t = get_tnorm(name)
+        assert inf_conv(t, rc, inf_conv(t, ra, rb)).closed == Ratio(c)
+
+
+def test_sup_prod_chain_nests_the_search_over_a_closed_inner_operand():
+    t = get_tnorm("prod")
+    inner = sup_conv(t, Ratio(0.7), Ratio(1.3))
+    assert isinstance(inner.closed, _SplitOptimum)
+    r = sup_conv(t, inner, Ratio(2.1))
+    assert r.closed is None
+    # the sup path never overestimates, and prod <= min adds the scales
+    xs = np.geomspace(0.05, 20.0, 40)
+    assert np.all(r.eval_many(xs) <= Ratio(4.1).eval_many(xs) + 1e-15)
+
+
+def test_scale_arg_keeps_the_closed_form():
+    for name in _TNORMS:
+        t = get_tnorm(name)
+        for conv in (sup_conv, inf_conv):
+            r = conv(t, Ratio(0.7), Ratio(1.3))
+            scaled = r.scale_arg(2.0)
+            assert scaled.closed is not None
+            for x in (0.5, 1.0, 4.0):
+                assert scaled.eval(x) == pytest.approx(r.eval(x / 2.0), abs=1e-15)
+    # a scale that overflows leaves an operand eps(inf), which has no closed form
+    r = sup_conv(get_tnorm("min"), Ratio(1e154), Ratio(1.0)).scale_arg(1e300)
+    assert r.f == EPS_INF and r.closed is None
+    # a directly built LazyConv keeps the search after scaling
+    assert LazyConv(get_tnorm("min"), Ratio(0.7), Ratio(1.3), True).scale_arg(2.0).closed is None
+
+
+def test_a_ratio_scale_that_overflows_keeps_the_search():
+    r = sup_conv(get_tnorm("min"), Ratio(1e308), Ratio(1e308))
+    assert isinstance(r, LazyConv) and r.closed is None
+    assert sup_conv(get_tnorm("t2"), Ratio(1e308), Ratio(1e308)).closed is None
 
 
 _DEPTH3_UNDER_512MB = """
