@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distfn import DPLUS_TOL, DistFn, check_tol, compare_leq, pointwise_min
+from .distfn import DPLUS_TOL, DistFn, Step, check_tol, compare_leq, pointwise_min
 from .pnspace import PNSpace, Vector, as_vector, default_samples, vec_sub
 from .topology import DEFAULT_HORIZON, SequenceSpec, convergence_probe, strong_topology_class
 from .triangle import conv_plateau
@@ -163,12 +163,11 @@ class RadiusReport:
 def _attainment_threshold(f: DistFn, level: float) -> float | None:
     """Smallest jump abscissa past which F >= level, for representations
     that attain their plateau at finite arguments; None otherwise."""
-    step = f.as_exact_step()
-    if step is None:
+    if not isinstance(f, Step):
         return None  # Ratio never attains its plateau at finite x
-    for k, v in enumerate(step.levels):
+    for k, v in enumerate(f.levels):
         if v >= level:
-            return step.breakpoints[k - 1] if k > 0 else 0.0
+            return f.breakpoints[k - 1] if k > 0 else 0.0
     return None
 
 
@@ -275,10 +274,16 @@ def convergent_set_bound(
         return SequenceBoundResult("premise_not_convergent", None, None, False)
     n = verdict.n
     g = space.norm_at_magnitude(max(space.magnitude(vec_sub(p, target)) for p in terms[n - 1:]))
-    h = space.tau(g, space.norm_of(target))
+    nu_target = space.norm_of(target)
+    h = space.tau(g, nu_target)
+    # H is proper when its operands' plateaus say so: a sampled H reads
+    # its last sample, short of the plateau, as its plateau
+    plateau = conv_plateau(space.tau, g, nu_target)
     if n > 1:
-        h = pointwise_min([space.norm_at_magnitude(max(map(space.magnitude, terms[:n - 1]))), h])
-    ok = h.in_d_plus(max(tol, 1e-6)) and all(
+        head = space.norm_at_magnitude(max(map(space.magnitude, terms[:n - 1])))
+        h = pointwise_min([head, h])
+        plateau = min(plateau, head.plateau)
+    ok = plateau >= 1.0 - max(tol, 1e-6) and all(
         compare_leq(h, space.norm_of(p), 1e-9).holds for p in terms
     )
     return SequenceBoundResult("ok" if ok else "bound_unverified", h, n, ok)

@@ -61,10 +61,10 @@ def _round9(obj):
 
 
 def render_distfn(f: DistFn) -> dict:
+    if isinstance(f, Plateau):  # a Step, so tested first
+        return {"family": "plateau", "gamma": f.gamma}
     if isinstance(f, Step):
         return {"family": "step", "breakpoints": list(f.breakpoints), "levels": list(f.levels)}
-    if isinstance(f, Plateau):
-        return {"family": "plateau", "gamma": f.gamma}
     if isinstance(f, Ratio):
         return {"family": "ratio", "beta": f.beta}
     if isinstance(f, Grid):
@@ -347,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{key}", default=None)
     suite = sub.add_parser("suite")
     suite.add_argument("name", nargs="?", default=None)
-    suite.add_argument("--name", dest="name_opt", default=None)
     suite.add_argument("--seed", default=None)
     suite.add_argument("--scenario", default=argparse.SUPPRESS)
     suite.add_argument("--out", default=argparse.SUPPRESS)
@@ -367,8 +366,6 @@ def main(argv=None) -> int:
                 parser.print_usage(sys.stderr)
                 return 2
             cfg = {k: v for k, v in vars(args).items() if k not in ("scenario", "out", "task")}
-            if args.task == "suite":
-                cfg["name"] = cfg.pop("name_opt", None) or cfg.get("name")
             report = run_task(args.task, cfg)
         _emit(report, args.out)
         return 0

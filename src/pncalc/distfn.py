@@ -5,16 +5,16 @@ nondecreasing, left-continuous and satisfy F(0) = 0 and F(+inf) = 1,
 partially ordered pointwise.  Four representations are provided:
 
 * ``Step``    -- piecewise-constant with finitely many jumps (exact),
-* ``Plateau`` -- constant level on (0, +inf) with a jump at infinity,
+* ``Plateau`` -- the Step with one jump, at 0, up to a level gamma: the
+  constant gamma on (0, +inf), with the rest of the mass at infinity,
 * ``Ratio``   -- the scale family x / (x + beta),
 * ``Grid``    -- a sampled curve, read as a step function from below.
 
-The order test ``compare_leq`` is exact when both operands are
-step-like (Step or Plateau): it walks the cells of their merged jumps,
-on each of which both are constant.  Ratio(a) <= Ratio(b) holds exactly
-when a >= b.  Any other pair with a Ratio, a Grid or a lazy convolution
-is read at a merged probe set, so a violation between probe points can
-go unseen.
+The order test ``compare_leq`` is exact when both operands are Steps:
+it walks the cells of their merged jumps, on each of which both are
+constant.  Ratio(a) <= Ratio(b) holds exactly when a >= b.  Any other
+pair with a Ratio, a Grid or a lazy convolution is read at a merged
+probe set, so a violation between probe points can go unseen.
 
 All values are immutable after construction and every operation is a
 pure function, so concurrent use of shared values is safe.
@@ -23,7 +23,6 @@ pure function, so concurrent use of shared values is safe.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -72,7 +71,7 @@ DEFAULT_GRID = GridSpec()
 
 #: slimmer geometric fill used by comparisons to resolve smooth operands
 COMPARE_FILL = GridSpec(n=192)
-_COMPARE_FILL_XS = tuple(COMPARE_FILL.points().tolist())
+_COMPARE_FILL_XS = COMPARE_FILL.points()
 
 
 class DistFn:
@@ -121,10 +120,6 @@ class DistFn:
     def probe_xs(self) -> tuple[float, ...]:
         """Abscissae that resolve this function's shape (used by comparisons)."""
         raise NotImplementedError
-
-    def as_exact_step(self) -> "Step | None":
-        """Exact step form, or None when the function is not piecewise constant."""
-        return None
 
     @property
     def has_continuous_part(self) -> bool:
@@ -200,43 +195,31 @@ class Step(DistFn):
     def probe_xs(self) -> tuple[float, ...]:
         return self.breakpoints
 
-    def as_exact_step(self) -> "Step":
-        return self
 
+class Plateau(Step):
+    """F(x) = gamma for 0 < x < +inf; the jump of height 1-gamma sits at +inf.
 
-@dataclass(frozen=True)
-class Plateau(DistFn):
-    """F(x) = gamma for 0 < x < +inf; the jump of height 1-gamma sits at +inf."""
+    It is the Step with one jump, at 0, up to gamma, so every exact path
+    takes it as a Step.  Its own type keeps the ``plateau`` report and an
+    argument scaling that returns it unchanged.
+    """
 
-    gamma: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ValueError(f"plateau level must lie in [0, 1], got {self.gamma!r}")
-
-    def _eval_pos(self, x: float) -> float:
-        return self.gamma
-
-    def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
-        return np.full(xs.shape, self.gamma)
+    def __init__(self, gamma: float):
+        if not (0.0 <= gamma <= 1.0):
+            raise ValueError(f"plateau level must lie in [0, 1], got {gamma!r}")
+        super().__init__((0.0,), (0.0, gamma))
 
     @property
-    def plateau(self) -> float:
-        return self.gamma
+    def gamma(self) -> float:
+        return self.levels[1]
+
+    def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
+        # constant: a fill, with no search over the one jump
+        return np.full(xs.shape, self.gamma)
 
     def scale_arg(self, a: float) -> "Plateau":
         self._check_scale(a)
         return self
-
-    def probe_xs(self) -> tuple[float, ...]:
-        return (0.0,)
-
-    def as_exact_step(self) -> Step:
-        return self._step
-
-    @functools.cached_property
-    def _step(self) -> Step:
-        return make_step((0.0,), (0.0, self.gamma))
 
 
 #: probe ladder of Ratio(1); Ratio(beta) probes beta times it
@@ -412,37 +395,36 @@ def merged_probe_xs(f: DistFn, g: DistFn | None = None, extra=()) -> np.ndarray:
     """Probe abscissae resolving both operands: native probe points, their
     midpoints, a tail point past the last feature, plus a dense geometric
     fill when a continuous (Ratio) operand is involved."""
-    pts = {0.0}
     fns = (f,) if g is None else (f, g)
-    for fn in fns:
-        pts.update(float(x) for x in fn.probe_xs())
-    pts.update(float(x) for x in extra)
+    parts = [(0.0,), *(fn.probe_xs() for fn in fns), extra]
     if any(fn.has_continuous_part for fn in fns):
-        pts.update(_COMPARE_FILL_XS)
-    base = sorted(p for p in pts if p >= 0.0 and not math.isinf(p))
-    mids = [(a + b) / 2.0 for a, b in zip(base, base[1:])]
-    tail = base[-1] if base else 0.0
+        parts.append(_COMPARE_FILL_XS)
+    pts = np.concatenate([np.asarray(p, dtype=float) for p in parts])
+    # adding 0.0 turns a -0.0 probe into +0.0
+    base = np.unique(pts[(pts >= 0.0) & (pts < INF)]) + 0.0
+    with np.errstate(over="ignore"):  # two abscissae near the largest float
+        mids = (base[:-1] + base[1:]) / 2.0
+    tail = float(base[-1])
     far = 2.0 * tail + 2.0
     if far == INF:  # past a jump above about 9e307, as in _compare_steps
         far = math.nextafter(tail, INF)
-    return np.array(sorted(set(base + mids + [tail + 1.0, far])))
+    return np.unique(np.concatenate([base, mids, (tail + 1.0, far)]))
 
 
 def compare_leq(f: DistFn, g: DistFn, tol: float | None = None) -> Comparison:
     """Pointwise order test F <= G + tol.
 
-    Two step-like operands (Step or Plateau: ``as_exact_step`` is not
-    None) are compared exactly, one walk over the cells of their merged
-    jumps, and Ratio(a) <= Ratio(b) holds by a >= b; any other pair with
-    a Ratio, Grid or lazy convolution on either side is sampled over the
-    merged probe set.  Default tolerance is 0 for exact representations
-    and ``GRID_TOL`` when a sampled operand is involved.
+    Two Steps (a Plateau among them) are compared exactly, one walk over
+    the cells of their merged jumps, and Ratio(a) <= Ratio(b) holds by
+    a >= b; any other pair with a Ratio, Grid or lazy convolution on
+    either side is sampled over the merged probe set.  Default tolerance
+    is 0 for exact representations and ``GRID_TOL`` when a sampled
+    operand is involved.
     """
     if tol is None:
         tol = GRID_TOL if (f.is_approximate or g.is_approximate) else 0.0
-    a, b = f.as_exact_step(), g.as_exact_step()
-    if a is not None and b is not None:
-        return _compare_steps(a, b, tol)
+    if isinstance(f, Step) and isinstance(g, Step):
+        return _compare_steps(f, g, tol)
     if isinstance(f, Ratio) and isinstance(g, Ratio) and f.beta >= g.beta and tol >= 0.0:
         # what the sampled path finds: every diff <= 0, and 0 at x = 0
         return Comparison(True, None, 0.0)
@@ -509,10 +491,7 @@ def distfn_equal(f: DistFn, g: DistFn, tol: float | None = None) -> bool:
 
 def is_eps0(f: DistFn) -> bool:
     """True when F is (pointwise) the maximal element: 1 on all of (0, +inf)."""
-    step = f.as_exact_step()
-    if step is not None:
-        return step.plateau >= 1.0 and all(b <= 0.0 for b in step.breakpoints)
-    return False
+    return isinstance(f, Step) and f.plateau >= 1.0 and all(b <= 0.0 for b in f.breakpoints)
 
 
 def levy_dist(f: DistFn, g: DistFn) -> float:
@@ -546,7 +525,8 @@ def pointwise_min(fns) -> DistFn:
 
     A finite minimum of left-continuous nondecreasing functions is again
     left-continuous, so no regularization step is needed.  Exact for
-    step-like operands and for pure Ratio families; sampled otherwise.
+    Steps (a Plateau among them) and for pure Ratio families; sampled
+    otherwise.
     """
     fns = list(fns)
     if not fns:
@@ -555,9 +535,8 @@ def pointwise_min(fns) -> DistFn:
         return fns[0]
     if all(isinstance(f, Ratio) for f in fns):
         return Ratio(max(f.beta for f in fns))
-    steps = [f.as_exact_step() if f.as_exact_step() is not None else f for f in fns]
-    if all(isinstance(s, (Step, Grid)) for s in steps):
-        return _min_steps(steps)
+    if all(isinstance(f, (Step, Grid)) for f in fns):
+        return _min_steps(fns)
     xs = merged_probe_xs(fns[0], fns[1])
     allpts = set(xs.tolist())
     for f in fns[2:]:

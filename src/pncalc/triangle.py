@@ -280,9 +280,8 @@ def _convolve(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn:
         return g
     if is_eps0(g):
         return f
-    a, b = f.as_exact_step(), g.as_exact_step()
-    if a is not None and b is not None:
-        return _conv_steps(t, a, b, maximize)
+    if isinstance(f, Step) and isinstance(g, Step):
+        return _conv_steps(t, f, g, maximize)
     return LazyConv(t, f, g, maximize, _closed_form(t, f, g, maximize))
 
 

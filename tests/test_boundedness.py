@@ -252,6 +252,18 @@ def test_bound_with_nonzero_target():
     assert rep.h == eps(2.0)  # head term eps(1 + 1/1) dominates the min
 
 
+@pytest.mark.parametrize("first,target", [(2.0, 1.0), (1.0, 2.0)], ids=["1+1/m", "2-1/m"])
+def test_bound_toward_a_nonzero_target_reads_the_operand_plateaus(first, target):
+    # tau(G, nu_target) is lazy in E25, so H is sampled up to x = 64 and
+    # its last sample sits below 1; the operands' plateaus show H proper
+    terms = tuple((target + (first - target) / m,) for m in range(1, 65))
+    seq = SequenceSpec("explicit", terms=terms)
+    rep = convergent_set_bound(make_space("E25"), seq, target, lam=0.5, horizon=64)
+    assert rep.succeeded and rep.verified
+    assert rep.n == 5
+    assert not rep.h.in_d_plus(1e-6)
+
+
 def test_bound_fails_without_convergence():
     geo = SequenceSpec("geometric")
     rep = convergent_set_bound(make_space("E19"), geo, 0.0, lam=0.25, horizon=16)

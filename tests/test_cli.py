@@ -406,6 +406,17 @@ def test_laws_suite_clean(capsys):
     assert {t["name"] for t in doc["result"]["tnorms"]} == {"min", "prod", "lukasiewicz", "t2"}
 
 
+def test_suite_name_is_positional_only(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--name", "laws"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --name" in capsys.readouterr().err
+    # the scenario file keeps its "name" key and prints the same report
+    scenario = tmp_path / "laws.json"
+    scenario.write_text(json.dumps({"task": "suite", "name": "laws"}), encoding="utf-8")
+    assert run_cli(capsys, "--scenario", str(scenario)) == run_cli(capsys, "suite", "laws")
+
+
 def _reject_non_finite(name):
     raise ValueError(f"non-finite number {name} in the report")
 

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pncalc import distfn
+from pncalc.cli import render_distfn
+from pncalc.tnorms import get_tnorm
+from pncalc.triangle import LazyConv
 from pncalc.distfn import (
     EPS0,
     EPS_INF,
@@ -47,13 +50,20 @@ def test_plateau_boundary_levels():
     assert distfn_equal(eps(INF), EPS_INF)
 
 
-def test_plateau_builds_its_exact_step_once():
+def test_plateau_is_the_one_jump_step():
     p = Plateau(0.35)
-    first = p.as_exact_step()
-    assert first == make_step((0.0,), (0.0, 0.35))
-    assert p.as_exact_step() is first
-    # the cached step is not a field: equality and hashing still read gamma
+    assert isinstance(p, Step)
+    assert (p.breakpoints, p.levels) == ((0.0,), (0.0, 0.35))
+    assert p.gamma == p.plateau == 0.35
     assert p == Plateau(0.35) and hash(p) == hash(Plateau(0.35))
+    assert p != Plateau(0.36)
+    # the same function, but its own type: equal as functions only
+    step = Step((0.0,), (0.0, 0.35))
+    assert p != step and distfn_equal(p, step)
+    assert p.scale_arg(3.0) is p
+    assert render_distfn(p) == {"family": "plateau", "gamma": 0.35}
+    with pytest.raises(ValueError, match=r"plateau level must lie in \[0, 1\], got 1.5"):
+        Plateau(1.5)
 
 
 def test_ratio_closed_form():
@@ -207,7 +217,7 @@ def _random_jump(rng: random.Random) -> float:
     return rng.choice((1e307, 8.9e307, 9e307, 1e308, 1.7e308, 1.7976931348623157e308))
 
 
-def _random_step_like(rng: random.Random):
+def _random_step(rng: random.Random):
     if rng.random() < 0.15:
         return Plateau(rng.choice((0.0, 0.5, 1.0, rng.random())))
     bps = []
@@ -228,17 +238,16 @@ def test_step_walk_matches_the_probe_path():
     rng = random.Random(12)
     past_probes = 0
     for _ in range(20_000):
-        f, g = _random_step_like(rng), _random_step_like(rng)
+        f, g = _random_step(rng), _random_step(rng)
         tol = rng.choice((0.0, 1e-9, 0.3))
-        a, b = f.as_exact_step(), g.as_exact_step()
         got = compare_leq(f, g, tol)
         assert isinstance(got.gap, float)
         if not got.holds:
             assert type(got.witness) is float
             assert f.eval(got.witness) - g.eval(got.witness) == got.gap
-        lo = max((0.0, *a.breakpoints, *b.breakpoints))
+        lo = max((0.0, *f.breakpoints, *g.breakpoints))
         past_probes += math.isinf(2.0 * lo + 2.0)
-        want = distfn._compare_sampled(a, b, tol)
+        want = distfn._compare_sampled(f, g, tol)
         assert (got.holds, got.witness, got.gap) == (want.holds, want.witness, want.gap), (f, g, tol)
     assert past_probes > 1000
 
@@ -253,6 +262,55 @@ def test_step_walk_reads_the_cell_past_a_jump_near_the_largest_float():
     assert distfn._compare_sampled(f, g, 0.0) == c
     # past a jump at the largest float no finite x is left to read
     assert compare_leq(Step((1.7976931348623157e308,), (0.0, 1.0)), g).holds
+
+
+def _merged_probe_xs_by_sets(f, g=None, extra=()):
+    """The probe set built with Python sets and sorted lists: the
+    reference for the array builder."""
+    pts = {0.0}
+    fns = (f,) if g is None else (f, g)
+    for fn in fns:
+        pts.update(float(x) for x in fn.probe_xs())
+    pts.update(float(x) for x in extra)
+    if any(fn.has_continuous_part for fn in fns):
+        pts.update(distfn.COMPARE_FILL.points().tolist())
+    base = sorted(p for p in pts if p >= 0.0 and not math.isinf(p))
+    mids = [(a + b) / 2.0 for a, b in zip(base, base[1:])]
+    tail = base[-1] if base else 0.0
+    far = 2.0 * tail + 2.0
+    if far == INF:
+        far = math.nextafter(tail, INF)
+    return np.array(sorted(set(base + mids + [tail + 1.0, far])))
+
+
+def _random_operand(rng: random.Random):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return _random_step(rng)
+    if kind == 1:
+        return Plateau(rng.random())
+    if kind == 2:
+        return Ratio(rng.choice((1e-300, 0.5, 3.0, 1e305)))
+    if kind == 3:
+        xs = sorted({rng.choice((5e-324, rng.uniform(0.0, 8.0), 1.7e308)) for _ in range(5)} - {0.0})
+        return Grid(tuple(xs), tuple(sorted(rng.random() for _ in xs)))
+    return LazyConv(get_tnorm("prod"), _random_step(rng), Ratio(rng.uniform(0.1, 4.0)), True)
+
+
+def test_probe_set_matches_the_set_built_reference():
+    # same values, same order, +0.0 for a -0.0 probe, and the inf midpoint
+    # of two abscissae near the largest float
+    rng = random.Random(14)
+    inf_mids = 0
+    for _ in range(3000):
+        f, g = _random_operand(rng), _random_operand(rng)
+        args = (f,) if rng.random() < 0.2 else (f, g)
+        extra = [rng.choice((-0.0, -1.0, rng.uniform(0.0, 9.0))) for _ in range(rng.randrange(3))]
+        got = distfn.merged_probe_xs(*args, extra=extra)
+        want = _merged_probe_xs_by_sets(*args, extra=extra)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), args
+        inf_mids += bool(np.isinf(got).any())
+    assert inf_mids > 10
 
 
 # ------------------------------------------------------------ levy distance
