@@ -163,8 +163,8 @@ class RadiusReport:
 def _attainment_threshold(f: DistFn, level: float) -> float | None:
     """Smallest jump abscissa past which F >= level, for representations
     that attain their plateau at finite arguments; None otherwise."""
-    if not isinstance(f, Step):
-        return None  # Ratio never attains its plateau at finite x
+    if not isinstance(f, Step) or f.is_approximate:
+        return None  # Ratio never attains its plateau at finite x; a Grid estimates
     for k, v in enumerate(f.levels):
         if v >= level:
             return f.breakpoints[k - 1] if k > 0 else 0.0

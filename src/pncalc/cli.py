@@ -61,12 +61,8 @@ def _round9(obj):
 
 
 def render_distfn(f: DistFn) -> dict:
-    if isinstance(f, Plateau):  # a Step, so tested first
+    if isinstance(f, Plateau):  # Plateau and Grid are Steps, so they go first
         return {"family": "plateau", "gamma": f.gamma}
-    if isinstance(f, Step):
-        return {"family": "step", "breakpoints": list(f.breakpoints), "levels": list(f.levels)}
-    if isinstance(f, Ratio):
-        return {"family": "ratio", "beta": f.beta}
     if isinstance(f, Grid):
         return {
             "family": "grid",
@@ -75,6 +71,10 @@ def render_distfn(f: DistFn) -> dict:
             "head": [[x, v] for x, v in zip(f.xs[:8], f.vs[:8])],
             "tail": [[f.xs[-1], f.vs[-1]]],
         }
+    if isinstance(f, Step):
+        return {"family": "step", "breakpoints": list(f.breakpoints), "levels": list(f.levels)}
+    if isinstance(f, Ratio):
+        return {"family": "ratio", "beta": f.beta}
     return {"family": type(f).__name__}
 
 

@@ -8,13 +8,14 @@ partially ordered pointwise.  Four representations are provided:
 * ``Plateau`` -- the Step with one jump, at 0, up to a level gamma: the
   constant gamma on (0, +inf), with the rest of the mass at infinity,
 * ``Ratio``   -- the scale family x / (x + beta),
-* ``Grid``    -- a sampled curve, read as a step function from below.
+* ``Grid``    -- a sampled curve, read from below: the (approximate)
+  Step that jumps to each sample's value at its abscissa.
 
-The order test ``compare_leq`` is exact when both operands are Steps:
-it walks the cells of their merged jumps, on each of which both are
-constant.  Ratio(a) <= Ratio(b) holds exactly when a >= b.  Any other
-pair with a Ratio, a Grid or a lazy convolution is read at a merged
-probe set, so a violation between probe points can go unseen.
+The order test ``compare_leq`` is exact when both operands are Steps (a
+Plateau or a Grid among them): it walks the cells of their merged jumps,
+on each of which both are constant.  Ratio(a) <= Ratio(b) holds exactly
+when a >= b.  Any other pair with a Ratio or a lazy convolution is read
+at a merged probe set, so a violation between probe points can go unseen.
 
 All values are immutable after construction and every operation is a
 pure function, so concurrent use of shared values is safe.
@@ -36,10 +37,10 @@ DPLUS_TOL = 1e-9
 #: Default comparison tolerance when a sampled (Grid) operand is involved.
 GRID_TOL = 1e-6
 
-#: Largest grid: materializing a depth-1 lazy convolution that takes the
-#: candidate search (a Grid and a Ratio operand) costs about 3 us per
-#: point (4 us under t2), so 16384 points take under 0.1 s (on a 2-CPU
-#: x86 host); a closed-form pair takes well under 1 us per point
+#: Largest grid: materializing a depth-1 convolution (a Ratio form or a
+#: walk over a Step side's jumps) takes about 0.3 us per point with two
+#: Ratios or a one-jump Step and 1.6-2.1 us (2.8-3.4 us under t2) with a
+#: 64-sample Grid, so 16384 points take under 0.1 s (2-CPU x86 host)
 MAX_GRID = 16384
 
 #: first grid sample as a fraction of the grid's x_max
@@ -91,11 +92,11 @@ class DistFn:
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape)
-        pos = xs > 0.0
-        fin = pos & np.isfinite(xs)
+        fin = (xs > 0.0) & (xs < INF)
+        if fin.all():  # no argument to mask out
+            return self._eval_pos_many(xs.ravel()).reshape(xs.shape)
+        out = (xs == INF).astype(float)
         out[fin] = self._eval_pos_many(xs[fin])
-        out[np.isposinf(xs)] = 1.0
         return out
 
     def left_limit(self, x: float) -> float:
@@ -133,10 +134,8 @@ class DistFn:
         return self.plateau >= 1.0 - tol
 
     def _eval_pos(self, x: float) -> float:
-        raise NotImplementedError
-
-    def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self._eval_pos(float(x)) for x in xs])
+        # every representation defines _eval_pos_many, F at positive finite xs
+        return float(self._eval_pos_many(np.array([x]))[0])
 
     def _check_scale(self, a: float) -> float:
         if not (a > 0.0) or a == INF:
@@ -262,57 +261,36 @@ class Ratio(DistFn):
         return True
 
 
-@dataclass(frozen=True)
-class Grid(DistFn):
+class Grid(Step):
     """Sampled curve: F(x) = vs[j] on (xs[j], xs[j+1]], zero at or below xs[0].
 
-    Reading the samples as a left-continuous step from below keeps the
-    representation inside the function space; the last sample doubles as
-    the plateau (a horizon approximation for curves that keep climbing).
+    The Step that jumps to each sample's value at its abscissa (a sample
+    at 0 is a jump at 0); the last sample doubles as the plateau, a
+    horizon approximation for curves that keep climbing.  A value at most
+    1e-15 below an earlier one is rounding wobble, raised to it.
     """
-
-    xs: tuple[float, ...]
-    vs: tuple[float, ...]
 
     is_approximate = True
 
-    def __post_init__(self):
-        if len(self.xs) != len(self.vs) or not self.xs:
+    def __init__(self, xs, vs):
+        if len(xs) != len(vs) or not xs:
             raise ValueError("xs and vs must be nonempty and of equal length")
-        prev = 0.0
-        for x in self.xs:
-            if not (x > prev) or math.isinf(x):
-                raise ValueError("sample abscissae must be finite, positive and strictly ascending")
-            prev = x
-        prev_v = 0.0
-        for v in self.vs:
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"sample values must lie in [0, 1], got {v!r}")
-            if v < prev_v - 1e-15:
-                raise ValueError("sample values must be nondecreasing")
-            prev_v = v
-
-    def _eval_pos(self, x: float) -> float:
-        j = bisect.bisect_left(self.xs, x)
-        return 0.0 if j == 0 else self.vs[j - 1]
-
-    def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(np.asarray(self.xs), xs, side="left")
-        vals = np.concatenate(([0.0], np.asarray(self.vs)))
-        return vals[idx]
+        top = np.maximum.accumulate(np.asarray(vs, dtype=float))
+        if np.any(top - vs > 1e-15):
+            raise ValueError("sample values must be nondecreasing")
+        super().__init__(tuple(xs), (0.0, *top.tolist()))
 
     @property
-    def plateau(self) -> float:
-        return self.vs[-1]
+    def xs(self) -> tuple[float, ...]:
+        return self.breakpoints
+
+    @property
+    def vs(self) -> tuple[float, ...]:
+        return self.levels[1:]
 
     def scale_arg(self, a: float) -> "DistFn":
-        a = self._check_scale(a)
-        xs = [x * a for x in self.xs]
-        k = bisect.bisect_left(xs, INF)
-        return Grid(tuple(xs[:k]), self.vs[:k]) if k else EPS_INF
-
-    def probe_xs(self) -> tuple[float, ...]:
-        return self.xs
+        s = super().scale_arg(a)
+        return Grid(s.breakpoints, s.levels[1:]) if s.breakpoints else EPS_INF
 
 
 def make_step(breakpoints, levels) -> Step:
@@ -414,9 +392,9 @@ def merged_probe_xs(f: DistFn, g: DistFn | None = None, extra=()) -> np.ndarray:
 def compare_leq(f: DistFn, g: DistFn, tol: float | None = None) -> Comparison:
     """Pointwise order test F <= G + tol.
 
-    Two Steps (a Plateau among them) are compared exactly, one walk over
-    the cells of their merged jumps, and Ratio(a) <= Ratio(b) holds by
-    a >= b; any other pair with a Ratio, Grid or lazy convolution on
+    Two Steps (a Plateau or a Grid among them) are compared exactly, one
+    walk over the cells of their merged jumps, and Ratio(a) <= Ratio(b)
+    holds by a >= b; any other pair with a Ratio or lazy convolution on
     either side is sampled over the merged probe set.  Default tolerance
     is 0 for exact representations and ``GRID_TOL`` when a sampled
     operand is involved.
@@ -525,8 +503,8 @@ def pointwise_min(fns) -> DistFn:
 
     A finite minimum of left-continuous nondecreasing functions is again
     left-continuous, so no regularization step is needed.  Exact for
-    Steps (a Plateau among them) and for pure Ratio families; sampled
-    otherwise.
+    Steps (a Plateau or a Grid among them) and for pure Ratio families;
+    sampled otherwise.
     """
     fns = list(fns)
     if not fns:
@@ -535,7 +513,7 @@ def pointwise_min(fns) -> DistFn:
         return fns[0]
     if all(isinstance(f, Ratio) for f in fns):
         return Ratio(max(f.beta for f in fns))
-    if all(isinstance(f, (Step, Grid)) for f in fns):
+    if all(isinstance(f, Step) for f in fns):
         return _min_steps(fns)
     xs = merged_probe_xs(fns[0], fns[1])
     allpts = set(xs.tolist())

@@ -9,16 +9,24 @@ the inf-convolution under the dual t-conorm,
     tau_S(F, G)(x) = inf_{s+t=x} S(F(s), G(t)),
 
 and the maximal triangle function (pointwise min).  Both convolutions
-have an exact path when the operands are piecewise constant: T (or S) of
+have an exact path when both operands are exact Steps: T (or S) of
 every pair of levels in one array call of the t-norm's single definition,
 then one sweep over the sorted sums of jump abscissae, keeping a running
 max of the post-jump T values over the sums below each cell (sup), or a
 running min of the pre-jump S values over the sums at or above it (inf).
 
-Otherwise the result is a ``LazyConv``, evaluated on demand.  Ratio(b) is
-the Dombi generator family, 1/G - 1 = b/x, so for Ratio(a) (+) Ratio(b)
-the optimum over s + t = x has a closed form (Dombi, Fuzzy Sets and
-Systems 8, 1982; Schweizer & Sklar, Probabilistic Metric Spaces, ch. 7):
+Otherwise the result is a ``LazyConv``, evaluated on demand.  With a
+Step F on one side (a Plateau, a Grid or eps(inf) among them), each
+value is one walk over F's jumps b (Schweizer & Sklar, Probabilistic
+Metric Spaces, 1983, ch. 7; Williamson & Downs, IJAR 4, 1990): as F is
+constant between jumps and G nondecreasing and left-continuous, the sup
+is the largest T(level after b, G(x - b)), the limit of the splits
+s -> b+, and the inf the smaller of F's plateau and the smallest
+S(level before b, G(x - b)), read at s = b; G reads 0 at t <= 0.  A
+pair with a Grid stays lazy, as its values carry the sampling error.
+Ratio(b) is the Dombi generator family, 1/G - 1 = b/x, so for Ratio(a)
+(+) Ratio(b) the optimum over s + t = x has a closed form (Dombi, Fuzzy
+Sets and Systems 8, 1982; Schweizer & Sklar, ch. 7):
 
     t-norm       sup                                  inf
     min          Ratio(a + b)                         Ratio(a + b)
@@ -32,23 +40,21 @@ Systems 8, 1982; Schweizer & Sklar, Probabilistic Metric Spaces, ch. 7):
 The sup objective is log-concave under prod and concave under
 Lukasiewicz, so its stationary point is the maximum; the inf objective
 under prod and Lukasiewicz is concave, so its minimum sits at an endpoint
-split.  For Plateau(gamma) (+) Ratio(b), in either order, the sup is
-T(gamma, G(x)), the limit of the splits s -> 0+, and the inf is
-min(G(x), gamma), read at the endpoint splits.  A ``LazyConv`` operand
-whose closed form is a Ratio is read as that Ratio, so min and t2 chains
-and every inf chain stay closed at any depth.
+split.  A ``LazyConv`` operand whose closed form is a Ratio is read as
+that Ratio, so min and t2 chains and every inf chain stay closed at any
+depth.
 
-Every other pair is searched lazily over a merged candidate set of
-sample points, fixed fractions of x, and breakpoint images.  The lazy search
-runs over the abscissae in ascending row blocks of about ``_BLOCK``
-candidates, so each nesting level holds a bounded number of values, and
-reads the left operand once per evaluation at its own probe points.  A
-probe point above x splits x at an endpoint, (0, x) or (x, 0), which the
-fraction columns 0.0 and 1.0 already hold bit for bit; so each block
-reads only the probe points at or below its largest abscissa, and since
-max and min are exact, leaving those duplicate columns out changes no
-value.  Materialized samples are re-monotonized by a running max to
-absorb floating-point wobble.
+Every other pair (no Step side, and not two Ratios) is searched lazily
+over a merged candidate set of sample points, fixed fractions of x, and
+breakpoint images.  The search runs over the abscissae in ascending row
+blocks of about ``_BLOCK`` candidates, so each nesting level holds a
+bounded number of values, and reads the left operand once per
+evaluation at its own probe points.  A probe point above x splits x at
+an endpoint, (0, x) or (x, 0), which the fraction columns 0.0 and 1.0
+already hold bit for bit; so each block reads only the probe points at
+or below its largest abscissa, and since max and min are exact, leaving
+those duplicate columns out changes no value.  Materialized samples are
+re-monotonized by a running max to absorb floating-point wobble.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ from .distfn import (
     DistFn,
     Grid,
     GridSpec,
-    Plateau,
     Ratio,
     Step,
     compare_leq,
@@ -118,22 +123,15 @@ def _conv_steps(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:
 
 @dataclass(frozen=True)
 class _SplitOptimum(DistFn):
-    """The optimum over s + t = x of a pair in the module table whose
-    closed form is not a Ratio, read per point: Ratio(a) (+) Ratio(b)
-    under the sup of prod or Lukasiewicz, and Plateau(gamma) (+) Ratio(b).
-    It serves only as a ``LazyConv``'s evaluator."""
+    """The optimum over s + t = x of Ratio(a) (+) Ratio(b) under the sup
+    of prod or Lukasiewicz, read per point from the module table.  It
+    serves only as a ``LazyConv``'s evaluator."""
 
     tnorm: TNorm
-    f: Ratio | Plateau
+    f: Ratio
     g: Ratio
-    maximize: bool
 
     def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
-        if isinstance(self.f, Plateau):
-            gx = self.g._eval_pos_many(xs)
-            if self.maximize:
-                return self.tnorm.fn_np(self.f.gamma, gx)
-            return np.minimum(gx, self.f.gamma)
         a, b = self.f.beta, self.g.beta
         if self.tnorm.name == "prod":
             # the factors keep sqrt(a (x + b)) from overflowing at large x
@@ -142,6 +140,32 @@ class _SplitOptimum(DistFn):
             s, t = xs * (wa / (wa + wb)), xs * (wb / (wa + wb))
             return s / (s + a) * (t / (t + b))
         return np.maximum(0.0, (xs - 2.0 * math.sqrt(a) * math.sqrt(b)) / (xs + a + b))
+
+
+@dataclass(frozen=True)
+class _StepWalk(DistFn):
+    """The walk over a Step side's jumps (see the module docstring); a ``LazyConv``'s evaluator."""
+
+    tnorm: TNorm
+    f: Step
+    g: DistFn
+    maximize: bool
+
+    def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
+        # one row per jump b, one column per x, in blocks of columns
+        bps = np.asarray(self.f.breakpoints)[:, None]
+        levels = np.asarray(self.f.levels)[:, None]
+        reduce, first = (np.maximum.reduce, 0.0) if self.maximize else (np.minimum.reduce, self.f.plateau)
+        cols = _BLOCK // max(1, bps.size)
+        out = np.empty(xs.shape)
+        for i in range(0, xs.size, cols):
+            vals = self.g.eval_many(xs[i:i + cols] - bps)  # 0 at x - b <= 0
+            if self.maximize:
+                vals = self.tnorm.fn_np(levels[1:], vals)
+            elif bps.size > 1:  # the first jump needs no S: its level before is 0, and S(0, y) = y
+                vals[1:] = self.tnorm.conorm.fn_np(levels[1:-1], vals[1:])
+            out[i:i + cols] = reduce(vals, axis=0, initial=first)
+        return out
 
 
 def _read_through(f: DistFn) -> DistFn:
@@ -155,13 +179,12 @@ def _closed_form(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn | Non
     """The convolution of F and G in closed form, from the module table,
     or None when the pair has none (or its Ratio scale overflows)."""
     f, g = _read_through(f), _read_through(g)
-    if isinstance(g, Plateau):
+    # walk the Step side, the one with fewer jumps when both are Steps
+    if isinstance(g, Step) and not (isinstance(f, Step) and len(f.breakpoints) <= len(g.breakpoints)):
         f, g = g, f
-    if not isinstance(g, Ratio):
-        return None
-    if isinstance(f, Plateau):
-        return _SplitOptimum(t, f, g, maximize)
-    if not isinstance(f, Ratio):
+    if isinstance(f, Step):
+        return _StepWalk(t, f, g, maximize)
+    if not (isinstance(f, Ratio) and isinstance(g, Ratio)):
         return None
     a, b = f.beta, g.beta
     if t.name == "min":
@@ -172,7 +195,7 @@ def _closed_form(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn | Non
         hi, lo = max(a, b), min(a, b)
         beta = hi * (1.0 + (lo / hi) ** (2.0 / 3.0)) ** 1.5 if maximize else math.hypot(a, b)
     elif maximize:
-        return _SplitOptimum(t, f, g, True)
+        return _SplitOptimum(t, f, g)
     else:
         beta = max(a, b)
     return Ratio(beta) if beta < INF else None
@@ -182,17 +205,18 @@ def _closed_form(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn | Non
 class LazyConv(DistFn):
     """Convolution evaluated on demand.
 
-    When ``closed`` is set (``sup_conv`` and ``inf_conv`` set it for the
-    pairs in the module table), each value is read from that closed form.
-    Otherwise, at each x, T(F(s), G(x-s)) is optimized over endpoint
-    splits, fixed fractions of x, and both operands' probe abscissae (in
-    both orientations).  A ``LazyConv`` built directly has no closed form
-    and takes the search.
+    When ``closed`` is set, each value is read from it: ``sup_conv`` and
+    ``inf_conv`` set it to the walk over the jumps of a Step side, and
+    for two Ratios to the form in the module table.  Otherwise, at each
+    x, T(F(s), G(x-s)) is optimized over endpoint splits, fixed fractions
+    of x, and both operands' probe abscissae (in both orientations): the
+    search, left to pairs with no Step side that are not two Ratios.  A
+    ``LazyConv`` built directly has no closed form and takes the search.
 
-    The abscissae are walked in ascending blocks, and a block reads only
-    the probe points at or below its largest x.  The cut is exact: a
-    right probe point t > x clips to the split s = 0, and a left one
-    s > x to s = x, which are the fraction 0.0 and 1.0 columns.
+    The search goes over the abscissae in ascending blocks, and a block
+    reads only the probe points at or below its largest x.  The cut is
+    exact: a right probe point t > x clips to the split s = 0, and a
+    left one s > x to s = x, which are the fraction 0.0 and 1.0 columns.
 
     The search can only miss the optimum, so the sup path never
     overestimates and the inf path never underestimates the true
@@ -208,9 +232,6 @@ class LazyConv(DistFn):
     closed: DistFn | None = None
 
     is_approximate = True
-
-    def _eval_pos(self, x: float) -> float:
-        return float(self._eval_pos_many(np.array([x]))[0])
 
     def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -280,7 +301,7 @@ def _convolve(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn:
         return g
     if is_eps0(g):
         return f
-    if isinstance(f, Step) and isinstance(g, Step):
+    if isinstance(f, Step) and isinstance(g, Step) and not (f.is_approximate or g.is_approximate):
         return _conv_steps(t, f, g, maximize)
     return LazyConv(t, f, g, maximize, _closed_form(t, f, g, maximize))
 

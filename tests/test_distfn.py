@@ -66,6 +66,27 @@ def test_plateau_is_the_one_jump_step():
         Plateau(1.5)
 
 
+def test_grid_is_the_step_of_its_samples():
+    g = Grid((0.5, 1.0, 2.0), (0.2, 0.2 - 1e-16, 0.7))
+    assert isinstance(g, Step) and g.is_approximate
+    # a value just below an earlier one is wobble, raised to it
+    assert (g.breakpoints, g.levels) == ((0.5, 1.0, 2.0), (0.0, 0.2, 0.2, 0.7))
+    assert (g.xs, g.vs) == ((0.5, 1.0, 2.0), (0.2, 0.2, 0.7))
+    assert g == Grid((0.5, 1.0, 2.0), (0.2, 0.2, 0.7)) and hash(g) == hash(Grid(g.xs, g.vs))
+    # the same function, but its own type: equal as functions only
+    step = Step(g.breakpoints, g.levels)
+    assert g != step and distfn_equal(g, step)
+    assert [g.eval(x) for x in (0.5, 0.75, 1.5, 3.0)] == [0.0, 0.2, 0.2, 0.7]
+    assert g.plateau == 0.7 and g.probe_xs() == g.xs
+    # a sample at 0 is a jump at 0, as a Plateau's is
+    assert distfn_equal(Grid((0.0,), (0.35,)), Plateau(0.35))
+    assert render_distfn(Grid((0.0, 1.0), (0.25, 0.5)))["family"] == "grid"
+    with pytest.raises(ValueError, match="nondecreasing"):
+        Grid((1.0, 2.0), (0.5, 0.5 - 1e-14))
+    with pytest.raises(ValueError, match="equal length"):
+        Grid((1.0, 2.0), (0.5,))
+
+
 def test_ratio_closed_form():
     f = from_spec("ratio:2")
     assert f.eval(2.0) == pytest.approx(0.5)  # x / (x + 2) at x = 2
@@ -230,15 +251,23 @@ def _random_step(rng: random.Random):
     return make_step(bps, [0.0] + levels)
 
 
+def _random_step_or_grid(rng: random.Random):
+    f = _random_step(rng)
+    if f.breakpoints and rng.random() < 0.3:
+        return Grid(f.breakpoints, f.levels[1:])
+    return f
+
+
 def test_step_walk_matches_the_probe_path():
     # the walk reads each cell where the merged probe set reads it first,
     # so it gives the sampled path's holds, witness and gap bit for bit,
     # also where 2 lo + 2 overflows and both read the last cell at the
-    # next float above lo
+    # next float above lo; a Grid is the Step of its samples
     rng = random.Random(12)
-    past_probes = 0
+    past_probes = grids = 0
     for _ in range(20_000):
-        f, g = _random_step(rng), _random_step(rng)
+        f, g = _random_step_or_grid(rng), _random_step_or_grid(rng)
+        grids += isinstance(f, Grid) or isinstance(g, Grid)
         tol = rng.choice((0.0, 1e-9, 0.3))
         got = compare_leq(f, g, tol)
         assert isinstance(got.gap, float)
@@ -249,7 +278,7 @@ def test_step_walk_matches_the_probe_path():
         past_probes += math.isinf(2.0 * lo + 2.0)
         want = distfn._compare_sampled(f, g, tol)
         assert (got.holds, got.witness, got.gap) == (want.holds, want.witness, want.gap), (f, g, tol)
-    assert past_probes > 1000
+    assert past_probes > 1000 and grids > 5000
 
 
 def test_step_walk_reads_the_cell_past_a_jump_near_the_largest_float():
@@ -388,6 +417,8 @@ def test_scale_arg_takes_the_limit_when_scaling_underflows():
     # jumps that round onto one abscissa merge, keeping the higher level
     assert Step((1e-300, 2e-300), (0.0, 0.5, 1.0)).scale_arg(1e-30) == EPS0
     assert Step((1e-300, 1.0), (0.0, 0.5, 1.0)).scale_arg(1e-30) == Step((0.0, 1e-30), (0.0, 0.5, 1.0))
+    assert Grid((1e-300, 2e-300), (0.2, 0.5)).scale_arg(1e-30) == Grid((0.0,), (0.5,))
+    assert Grid((1e-300, 1.0), (0.0, 0.5)).scale_arg(1e-30) == Grid((1e-30,), (0.5,))
     # x / (x + beta) tends to 1 at every x > 0 as beta shrinks
     assert Ratio(1e-300).scale_arg(1e-300) == EPS0
 

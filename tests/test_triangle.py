@@ -17,6 +17,7 @@ from pncalc.distfn import (
     EPS_INF,
     INF,
     Grid,
+    GridSpec,
     Plateau,
     Ratio,
     Step,
@@ -33,6 +34,7 @@ from pncalc.triangle import (
     LazyConv,
     TriangleFn,
     _SplitOptimum,
+    _StepWalk,
     _probe_array,
     conv_plateau,
     inf_conv,
@@ -468,15 +470,31 @@ _RATIO_FORMS = {("min", True), ("t2", True), ("min", False), ("prod", False),
                 ("lukasiewicz", False), ("t2", False)}
 
 
+def _sample_curve(rng, n):
+    """A Grid of a Weibull distribution function at n geometric abscissae."""
+    xs = np.geomspace(0.05, 20.0, n)
+    vs = 0.98 * (1.0 - np.exp(-(xs / rng.uniform(0.5, 4.0)) ** rng.uniform(0.6, 2.0)))
+    return Grid(tuple(xs.tolist()), tuple(np.maximum.accumulate(vs).tolist()))
+
+
 def _closed_pairs():
-    """Ratio pairs whose scale ratios span 1e-3 to 1e3, and Plateau (+)
-    Ratio in both orders."""
+    """Ratio pairs whose scale ratios span 1e-3 to 1e3, Plateau (+) Ratio
+    in both orders, and a Step, Grid, Plateau or eps(inf) against a Ratio
+    or a Grid: the pairs with a Step side are walked."""
     rng = np.random.default_rng(21)
     pairs = []
     for ratio in (1e-3, 0.1, 1.0, 7.0, 1e3):
         a = float(10.0 ** rng.uniform(-1.0, 1.0))
         pairs.append((Ratio(a), Ratio(a * ratio)))
-    return pairs + [(Plateau(0.37), Ratio(2.5)), (Ratio(0.4), Plateau(0.81))]
+    step = make_step((0.5, 1.25, 3.0), (0.0, 0.2, 0.6, 0.9))
+    g1, g2 = _sample_curve(rng, 24), _sample_curve(rng, 9)
+    return pairs + [(Plateau(0.37), Ratio(2.5)), (Ratio(0.4), Plateau(0.81)),
+                    (step, Ratio(1.7)), (g1, Ratio(0.6)), (g1, g2), (step, g2),
+                    (Plateau(0.55), g1), (EPS_INF, Ratio(1.2))]
+
+
+def _scale(h):
+    return h.beta if isinstance(h, Ratio) else max(h.breakpoints, default=0.0)
 
 
 def _far_bound(t, f, g, x, maximize, n):
@@ -505,7 +523,9 @@ def test_closed_forms_match_a_dense_split_oracle(name, maximize):
         assert isinstance(r, LazyConv) and r.closed is not None
         if isinstance(f, Ratio) and isinstance(g, Ratio):
             assert isinstance(r.closed, Ratio) == ((name, maximize) in _RATIO_FORMS)
-        scale = max(getattr(h, "beta", 0.0) for h in (f, g))
+        else:
+            assert isinstance(r.closed, _StepWalk)
+        scale = max(_scale(f), _scale(g), 1.0)
         for x in scale * np.geomspace(1e-3, 1e3, 9):
             x = float(x)
             got, far = r.eval(x), _far_bound(t, f, g, x, maximize, n)
@@ -513,6 +533,17 @@ def test_closed_forms_match_a_dense_split_oracle(name, maximize):
                 assert brute_force_sup_conv(t, f, g, x, n) <= got + ulps <= far + 2.0 * ulps, (f, g, x)
             else:
                 assert far - 2.0 * ulps <= got - ulps <= brute_inf(t, f, g, x, n), (f, g, x)
+
+
+def test_step_walk_reads_each_abscissa_alone():
+    # the walk over 64 jumps reads 1,024 abscissae per block, so _LONG
+    # crosses a dozen seams; each value is the walk at that x alone
+    g = _sample_curve(np.random.default_rng(4), 64)
+    for maximize in (True, False):
+        r = _conv_exact(get_tnorm("prod"), g, Ratio(1.3), maximize)
+        got = r.eval_many(_LONG)
+        assert got.tolist()[::97] == [r.eval(float(x)) for x in _LONG[::97]]
+        assert np.array_equal(got[::-1], r.eval_many(_LONG[::-1]))
 
 
 def test_closed_forms_reach_the_optima_the_search_misses():
@@ -582,9 +613,10 @@ def test_scale_arg_keeps_the_closed_form():
             assert scaled.closed is not None
             for x in (0.5, 1.0, 4.0):
                 assert scaled.eval(x) == pytest.approx(r.eval(x / 2.0), abs=1e-15)
-    # a scale that overflows leaves an operand eps(inf), which has no closed form
+    # a scale that overflows leaves an operand eps(inf), a Step: its walk reads 0
     r = sup_conv(get_tnorm("min"), Ratio(1e154), Ratio(1.0)).scale_arg(1e300)
-    assert r.f == EPS_INF and r.closed is None
+    assert r.f == EPS_INF and isinstance(r.closed, _StepWalk)
+    assert np.all(r.eval_many(np.geomspace(1e-3, 1e300, 25)) == 0.0)
     # a directly built LazyConv keeps the search after scaling
     assert LazyConv(get_tnorm("min"), Ratio(0.7), Ratio(1.3), True).scale_arg(2.0).closed is None
 
@@ -620,12 +652,21 @@ def test_depth3_chain_evaluates_16_points_in_512mb():
 
 
 def test_grid_operands_take_sampled_path():
+    # a Grid's values carry its sampling error, so the walk stays lazy
     t = get_tnorm("prod")
     g = Grid((0.5, 1.0), (0.3, 0.9))
     r = sup_conv(t, g, eps(1.0))
     assert isinstance(r, LazyConv)
-    # value just past 2.0 should combine both jumps: 0.9 * 1.0
-    assert r.eval(2.1) == pytest.approx(0.9, abs=1e-6)
+    # value just past 2.0 combines both jumps: 0.9 * 1.0
+    assert r.eval(2.1) == 0.9
+
+
+def test_step_walk_reads_the_split_the_search_loses_to_rounding():
+    # the sup at x = 4 sits at the split s = 3.5, where eps(0.5) has just
+    # jumped; the search reached 0.7647 there
+    r = sup_conv(get_tnorm("prod"), Ratio(1.0), eps(0.5))
+    assert r.eval(4.0) == 3.5 / 4.5
+    assert r.materialize(GridSpec(n=8, x_max=4.0)).vs[-1] == 3.5 / 4.5
 
 
 # ------------------------------------------------------------ law suite
