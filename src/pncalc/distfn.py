@@ -24,6 +24,7 @@ pure function, so concurrent use of shared values is safe.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,10 +38,14 @@ DPLUS_TOL = 1e-9
 #: Default comparison tolerance when a sampled (Grid) operand is involved.
 GRID_TOL = 1e-6
 
-#: Largest grid: materializing a depth-1 convolution (a Ratio form or a
-#: walk over a Step side's jumps) takes about 0.3 us per point with two
-#: Ratios or a one-jump Step and 1.6-2.1 us (2.8-3.4 us under t2) with a
-#: 64-sample Grid, so 16384 points take under 0.1 s (2-CPU x86 host)
+#: Largest grid, and most samples in a ``grid:@`` file: materializing a
+#: depth-1 convolution (a Ratio form or a walk over a Step side's jumps)
+#: takes about 0.3 us per point with two Ratios or a one-jump Step and
+#: 1.6-2.1 us (2.8-3.4 us under t2) with a 64-sample Grid, so 16384 points
+#: take under 0.1 s.  A walk reads every sample at every point: a file at
+#: the bound reads in about 35 ms, and its convolution with a Ratio
+#: materializes 16384 points in 4.7-5.5 s under prod and 7.7-11.8 s under
+#: t2 (2-CPU x86 host)
 MAX_GRID = 16384
 
 #: first grid sample as a fraction of the grid's x_max
@@ -179,9 +184,16 @@ class Step(DistFn):
     def _eval_pos(self, x: float) -> float:
         return self.levels[bisect.bisect_left(self.breakpoints, x)]
 
+    @functools.cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``breakpoints`` and ``levels`` as read-only numpy arrays, built once."""
+        bps, levels = np.array(self.breakpoints), np.array(self.levels)
+        bps.flags.writeable = levels.flags.writeable = False
+        return bps, levels
+
     def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(np.asarray(self.breakpoints), xs, side="left")
-        return np.asarray(self.levels)[idx]
+        bps, levels = self.arrays
+        return levels[np.searchsorted(bps, xs, side="left")]
 
     @property
     def plateau(self) -> float:
@@ -289,8 +301,13 @@ class Grid(Step):
         return self.levels[1:]
 
     def scale_arg(self, a: float) -> "DistFn":
-        s = super().scale_arg(a)
-        return Grid(s.breakpoints, s.levels[1:]) if s.breakpoints else EPS_INF
+        return _sampled(super().scale_arg(a))
+
+
+def _sampled(s: Step) -> DistFn:
+    """A Step computed from sampled operands, read as the Grid of its
+    jumps; with no jump left it is eps(inf), 0 at every finite x."""
+    return Grid(s.breakpoints, s.levels[1:]) if s.breakpoints else EPS_INF
 
 
 def make_step(breakpoints, levels) -> Step:
@@ -352,6 +369,8 @@ def from_spec(text: str) -> DistFn:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
+                if len(xs) == MAX_GRID:
+                    raise ValueError(f"grid file {arg[1:]!r} has more than {MAX_GRID} samples")
                 sx, sv = line.split()
                 xs.append(float(sx))
                 vs.append(float(sv))
@@ -504,7 +523,8 @@ def pointwise_min(fns) -> DistFn:
     A finite minimum of left-continuous nondecreasing functions is again
     left-continuous, so no regularization step is needed.  Exact for
     Steps (a Plateau or a Grid among them) and for pure Ratio families;
-    sampled otherwise.
+    sampled otherwise.  The minimum is a ``Grid`` whenever an operand is
+    approximate, as it carries that operand's sampling error.
     """
     fns = list(fns)
     if not fns:
@@ -514,7 +534,8 @@ def pointwise_min(fns) -> DistFn:
     if all(isinstance(f, Ratio) for f in fns):
         return Ratio(max(f.beta for f in fns))
     if all(isinstance(f, Step) for f in fns):
-        return _min_steps(fns)
+        m = _min_steps(fns)
+        return _sampled(m) if any(f.is_approximate for f in fns) else m
     xs = merged_probe_xs(fns[0], fns[1])
     allpts = set(xs.tolist())
     for f in fns[2:]:

@@ -153,8 +153,7 @@ class _StepWalk(DistFn):
 
     def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
         # one row per jump b, one column per x, in blocks of columns
-        bps = np.asarray(self.f.breakpoints)[:, None]
-        levels = np.asarray(self.f.levels)[:, None]
+        bps, levels = (a[:, None] for a in self.f.arrays)
         reduce, first = (np.maximum.reduce, 0.0) if self.maximize else (np.minimum.reduce, self.f.plateau)
         cols = _BLOCK // max(1, bps.size)
         out = np.empty(xs.shape)
@@ -424,9 +423,10 @@ def tf_law_suite(
         f = random_step_fn(rng)
         g = random_step_fn(rng)
         h = random_step_fn(rng)
-        if not distfn_equal(tau(tau(f, g), h), tau(f, tau(g, h)), tol):
+        fg = tau(f, g)
+        if not distfn_equal(tau(fg, h), tau(f, tau(g, h)), tol):
             assoc.append((f, g, h))
-        if not distfn_equal(tau(f, g), tau(g, f), tol):
+        if not distfn_equal(fg, tau(g, f), tol):
             comm.append((f, g))
         # f scaled right is pointwise below f, giving an ordered pair
         lo = f.scale_arg(2.0)

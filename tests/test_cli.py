@@ -1,13 +1,14 @@
 """Command-line front-end: subcommand dispatch, scenario files,
 deterministic reports, and exit-code contract."""
 
+import argparse
 import json
 
 import pytest
 
 from pncalc.boundedness import MAX_SAMPLES
-from pncalc.cli import main
-from pncalc.distfn import MAX_GRID
+from pncalc.cli import build_parser, main
+from pncalc.distfn import MAX_GRID, from_spec
 from pncalc.pnspace import MAX_DIM
 from pncalc.topology import MAX_HORIZON
 
@@ -51,7 +52,8 @@ def test_grid_file_operand(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("0.5 0.2\n1.0 0.6\n2.0 1.0\n")
     doc = run_json(capsys, "convolve", "--kind", "max", "--lhs", f"grid:@{path}", "--rhs", "step:0")
-    assert doc["result"]["result"]["family"] == "grid" or doc["result"]["result"]["family"] == "step"
+    # the minimum with a sampled operand is sampled too
+    assert doc["result"]["result"]["family"] == "grid"
 
 
 def test_axioms_subcommand(capsys):
@@ -336,6 +338,20 @@ def test_size_above_its_bound_is_a_usage_error(capsys, monkeypatch, argv, target
     assert message in err
 
 
+def test_grid_file_above_its_bound_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "g.txt"
+    lines = [f"{k + 1} 0.5\n" for k in range(MAX_GRID)]
+    path.write_text("".join(lines))
+    assert len(from_spec(f"grid:@{path}").xs) == MAX_GRID
+    # reading stops at the sample past the bound, before the malformed line
+    path.write_text("".join(lines) + f"{MAX_GRID + 1} 0.5\nnot a sample\n")
+    monkeypatch.setattr("pncalc.cli.max_tf", _no_work)
+    code, out, err = run_cli(capsys, "convolve", "--kind", "max", "--lhs", f"grid:@{path}", "--rhs", "step:0")
+    assert code == 2
+    assert out == ""
+    assert f"has more than {MAX_GRID} samples" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (("classify", "--space", "E25", "--set", "interval:1,2", "--tol", "nan"), "tolerance must be finite and in [0, 1), got nan"),
     (("axioms", "--space", "E12", "--tol", "nan"), "tolerance must be finite and in [0, 1), got nan"),
@@ -379,6 +395,53 @@ def test_env_seed_respected(capsys, monkeypatch):
     monkeypatch.setenv("PNCALC_SEED", "123")
     doc = run_json(capsys, "classify", "--space", "E9:a=1", "--set", "all_reals")
     assert doc["config"]["seed"] == 123
+
+
+def test_the_reused_parser_is_stateless(capsys, monkeypatch, tmp_path):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"task": "radius", "space": "E9:a=1", "set": "all_reals"}))
+    report = tmp_path / "r.json"
+    runs = [
+        ("convolve", "--bogus"),  # argparse error
+        ("axioms",),  # UsageError: --space is missing
+        ("--scenario", str(scenario)),
+        ("convolve", "--lhs", "step:1", "--rhs", "step:2", "--out", str(report)),
+        ("radius", "--space", "E9:a=1", "--set", "all_reals"),
+        ("suite",),  # UsageError: no suite name
+        ("axioms", "--space", "E12", "--tau", "sup:prod"),
+        ("lgprobe", "--space", "E12"),
+        ("classify", "--space", "E9:a=1", "--set", "all_reals", "--samples", "5"),
+    ]
+
+    def run(argv):
+        report.unlink(missing_ok=True)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        # --out is read from this run's flags only
+        assert report.exists() == ("--out" in argv)
+        return code, out, err
+
+    first = [run(argv) for argv in runs]
+    assert [code for code, _, _ in first] == [2, 2, 0, 0, 0, 2, 0, 0, 0]
+    constructed = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv, (code, out, err) in zip(runs, first):
+        again = run(argv)
+        assert again[0] == code
+        if code == 0:
+            assert again == (code, out, err), argv
+    assert constructed == []  # main built no further parser
+    assert build_parser() is not build_parser()
+    assert len(constructed) == 2 * 13  # the root parser and its 12 subcommands
 
 
 # ------------------------------------------------------------ errors & suites

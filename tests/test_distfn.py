@@ -511,6 +511,26 @@ def test_pointwise_min_of_steps_is_exact():
     assert pointwise_min([Step((1e17,), (0.0, 0.5)), Plateau(0.7)]) == Step((1e17,), (0.0, 0.5))
 
 
+def test_pointwise_min_with_a_grid_operand_stays_a_grid():
+    m = pointwise_min([Grid((1.0, 2.0), (0.5, 0.8)), eps(3.0)])
+    assert type(m) is Grid and m.is_approximate
+    assert (m.breakpoints, m.levels) == ((3.0,), (0.0, 0.8))
+    # so it compares at GRID_TOL and is not read as attaining its plateau
+    assert compare_leq(m, Step((3.0,), (0.0, 0.8 - 1e-7))).holds
+    # a minimum that is 0 at every finite x is eps(inf) exactly
+    assert pointwise_min([Grid((1.0,), (0.5,)), EPS_INF]) is EPS_INF
+
+
+def test_step_arrays_are_built_once_and_read_only():
+    g = Grid((0.5, 1.0, 2.0), (0.2, 0.4, 0.7))
+    bps, levels = g.arrays
+    assert g.arrays[0] is bps and g.arrays[1] is levels
+    assert bps.tolist() == list(g.breakpoints) and levels.tolist() == list(g.levels)
+    with pytest.raises(ValueError, match="read-only"):
+        levels[0] = 1.0
+    assert EPS_INF.eval_many(np.array([1.0, INF])).tolist() == [0.0, 1.0]
+
+
 def test_pointwise_min_of_ratios():
     assert pointwise_min([Ratio(1.0), Ratio(4.0), Ratio(2.0)]) == Ratio(4.0)
 

@@ -683,6 +683,23 @@ def test_law_suite_negative_control_wrong_unit():
     assert rep.unit.violations  # witness operand recorded
 
 
+class _LeftProjection:
+    """tau(F, G) = F: associative, monotone, with unit eps0, not commutative."""
+
+    def __call__(self, f, g):
+        return f
+
+    def describe(self):
+        return "left"
+
+
+def test_law_suite_negative_control_non_commutative():
+    rep = tf_law_suite(_LeftProjection(), n_samples=20, seed=7)
+    assert not rep.commutative.ok
+    assert rep.commutative.violations  # witness pair recorded
+    assert rep.associative.ok and rep.monotone.ok and rep.unit.ok
+
+
 def test_parse_triangle_rejects_malformed():
     with pytest.raises(ValueError):
         parse_triangle("sup")
