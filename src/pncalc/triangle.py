@@ -14,6 +14,10 @@ every pair of levels in one array call of the t-norm's single definition,
 then one sweep over the sorted sums of jump abscissae, keeping a running
 max of the post-jump T values over the sums below each cell (sup), or a
 running min of the pre-jump S values over the sums at or above it (inf).
+From ``_ARRAY_MIN`` pairs of jumps on, the sweep runs on arrays: the n m
+sums in a stable sort, one ``np.maximum.accumulate`` (from the top for
+the inf) and one level per distinct sum; below it, a loop over a dict of
+the sums, which costs less on the few jumps of unit steps.
 
 Otherwise the result is a ``LazyConv``, evaluated on demand.  With a
 Step F on one side (a Plateau, a Grid or eps(inf) among them), each
@@ -65,6 +69,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distfn import (
+    _ARRAY_MIN,
+    _rising_step,
     DEFAULT_GRID,
     INF,
     DistFn,
@@ -103,11 +109,20 @@ def _conv_steps(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:
     # lower sums miss a cell steps down to one that covers it, with no
     # larger S).  Negating the inf values turns its running min from the
     # top into the same max.
+    sweep = _conv_array if len(a.breakpoints) * len(b.breakpoints) >= _ARRAY_MIN else _conv_loop
+    return sweep(t, a, b, maximize)
+
+
+def _pair_values(t: TNorm, a: Step, b: Step, maximize: bool) -> np.ndarray:
+    """T of the levels after each pair of jumps, or -S of those before."""
     op, sign = (t.fn_np, 1.0) if maximize else (t.conorm.fn_np, -1.0)
     pick = slice(1, None) if maximize else slice(None, -1)
-    vals = (sign * op(np.asarray(a.levels[pick])[:, None], np.asarray(b.levels[pick]))).tolist()
+    return sign * op(np.asarray(a.levels[pick])[:, None], np.asarray(b.levels[pick]))
+
+
+def _conv_loop(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:
     best: dict[float, float] = {}
-    for x, row in zip(a.breakpoints, vals):
+    for x, row in zip(a.breakpoints, _pair_values(t, a, b, maximize).tolist()):
         for y, v in zip(b.breakpoints, row):
             s = x + y
             if v > best.get(s, -1.0):
@@ -119,6 +134,25 @@ def _conv_steps(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:
         run = max(run, best[s])
         levels.append(run)
     return make_step(sums, levels if maximize else [-v for v in reversed(levels)])
+
+
+def _conv_array(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:
+    # the n m sums in stable order, one level per distinct sum: the sup's
+    # running max at its last pair, the inf's running max from the top at
+    # the first pair of the next sum (only one pair can sum to a zero, so
+    # its sign is the loop's)
+    with np.errstate(over="ignore"):  # two jumps near the largest float
+        sums = np.add.outer(a.arrays[0], b.arrays[0]).ravel()
+    order = np.argsort(sums, kind="stable")
+    sums, vals = sums[order], _pair_values(t, a, b, maximize).ravel()[order]
+    new = sums[1:] != sums[:-1]
+    if maximize:
+        last = np.flatnonzero(np.append(new, True))
+        return _rising_step(sums[last], np.maximum.accumulate(vals)[last])
+    first = np.flatnonzero(np.concatenate(((True,), new)))
+    above = np.maximum.accumulate(vals[::-1])[::-1][first[1:]]
+    floor = -min(a.plateau, b.plateau)
+    return _rising_step(sums[first], -np.maximum(np.append(above, floor), floor))
 
 
 @dataclass(frozen=True)

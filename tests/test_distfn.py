@@ -191,16 +191,36 @@ def test_ratio_order_reverses_scale():
 
 def test_ratio_order_by_scale_matches_the_probe_path():
     # a pair that holds by its scales gives what the sampled path gives,
-    # bit for bit; a failing pair is still sampled
+    # bit for bit; a failing pair reads its closed-form largest gap, which
+    # no probe point exceeds
     rng = np.random.default_rng(13)
     for _ in range(2000):
-        a, b = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        a, b = (float(v) for v in 10.0 ** rng.uniform(-3.0, 3.0, 2))
         if rng.random() < 0.1:
             b = a
-        f, g = Ratio(float(a)), Ratio(float(b))
+        f, g = Ratio(a), Ratio(b)
         for tol in (0.0, 1e-9, 1e-6):
             got, want = compare_leq(f, g, tol), distfn._compare_sampled(f, g, tol)
-            assert (got.holds, got.witness, got.gap) == (want.holds, want.witness, want.gap), (a, b, tol)
+            if a >= b:
+                assert (got.holds, got.witness, got.gap) == (want.holds, want.witness, want.gap), (a, b, tol)
+                continue
+            peak = (math.sqrt(b) - math.sqrt(a)) / (math.sqrt(b) + math.sqrt(a))
+            assert got.gap == pytest.approx(peak, rel=1e-12, abs=1e-15)
+            assert got.gap >= want.gap - 1e-15 and got.holds == (got.gap <= tol)
+            if not got.holds:
+                assert got.witness == math.sqrt(a) * math.sqrt(b)
+                assert f.eval(got.witness) - g.eval(got.witness) == got.gap
+
+
+def test_failing_ratio_pair_reads_its_closed_form_gap():
+    c = compare_leq(Ratio(1.0), Ratio(2.0))
+    assert not c.holds
+    assert c.witness == math.sqrt(2.0)
+    assert c.gap == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), abs=1e-12)
+    assert c.gap == pytest.approx(0.17157288, abs=1e-8)
+    # the sampled path read 0.1715629 at 1.4363, below the peak
+    assert distfn._compare_sampled(Ratio(1.0), Ratio(2.0), 0.0).gap < c.gap
+    assert compare_leq(Ratio(1.0), Ratio(2.0), 0.2).holds
 
 
 def test_violation_carries_witness():
@@ -291,6 +311,72 @@ def test_step_walk_reads_the_cell_past_a_jump_near_the_largest_float():
     assert distfn._compare_sampled(f, g, 0.0) == c
     # past a jump at the largest float no finite x is left to read
     assert compare_leq(Step((1.7976931348623157e308,), (0.0, 1.0)), g).holds
+
+
+def _wide_step(rng: random.Random, n: int):
+    """A step with n jumps from ``_random_jump``, adjacent floats among
+    them, and dyadic levels, so that operands share jumps and levels; now
+    and then a Plateau(0.0) or EPS_INF."""
+    if rng.random() < 0.05:
+        return rng.choice((Plateau(0.0), EPS_INF))
+    bps = set()
+    while len(bps) < n:
+        b = _random_jump(rng) + 0.0
+        bps.update((b, math.nextafter(b, INF)) if rng.random() < 0.2 else (b,))
+    bps = sorted(bps)[:n]
+    if bps[0] == 0.0:
+        bps[0] = rng.choice((0.0, -0.0))
+    levels = [v / 64.0 for v in sorted(rng.sample(range(1, 65), n))]
+    return make_step(bps, [0.0, *levels])
+
+
+def _above_the_switch(rng: random.Random, k: int):
+    """k operands with at least ``_ARRAY_MIN`` jumps together."""
+    while True:
+        fns = [_wide_step(rng, rng.randrange(1, 2 * distfn._ARRAY_MIN // k)) for _ in range(k)]
+        if sum(len(f.breakpoints) for f in fns) >= distfn._ARRAY_MIN:
+            return fns
+
+
+def test_array_order_check_equals_the_loop_above_the_switch():
+    rng = random.Random(21)
+    zeros = 0
+    for _ in range(3000):
+        f, g = _above_the_switch(rng, 2)
+        if rng.random() < 0.3 and f.breakpoints:
+            f = Grid(f.breakpoints, f.levels[1:])
+        zeros += math.copysign(1.0, min((INF, *f.breakpoints, *g.breakpoints))) < 0.0
+        for tol in (0.0, 1e-9, 0.3):
+            got = compare_leq(f, g, tol)
+            assert repr(got) == repr(distfn._compare_loop(f, g, tol)) == repr(distfn._compare_array(f, g, tol))
+    assert zeros > 100
+
+
+def test_array_minimum_equals_the_loop_above_the_switch():
+    rng = random.Random(22)
+    zeros = 0
+    for i in range(3000):
+        fns = _above_the_switch(rng, 2 + i % 2)
+        grid = rng.random() < 0.5 and bool(fns[0].breakpoints)
+        if grid:
+            fns[0] = Grid(fns[0].breakpoints, fns[0].levels[1:])
+        got, want = pointwise_min(fns), distfn._min_loop(fns)
+        assert repr(distfn._min_array(fns)) == repr(want), fns
+        if grid:  # still a Grid, as it carries the sampling error
+            want = distfn._sampled(want)
+        assert repr(got) == repr(want), fns
+        zeros += bool(got.breakpoints) and math.copysign(1.0, got.breakpoints[0]) < 0.0
+    assert zeros > 100
+
+
+def test_order_check_on_large_grids_matches_the_probe_path():
+    rng = np.random.default_rng(4096)
+    for _ in range(3):
+        f, g = (Grid(np.sort(rng.uniform(0.0, 64.0, 4096)).tolist(), np.sort(rng.random(4096)).tolist())
+                for _ in range(2))
+        for a, b in ((f, g), (g, f), (f, f)):
+            got, want = compare_leq(a, b), distfn._compare_sampled(a, b, distfn.GRID_TOL)
+            assert (got.holds, got.witness, got.gap) == (want.holds, want.witness, want.gap)
 
 
 def _merged_probe_xs_by_sets(f, g=None, extra=()):

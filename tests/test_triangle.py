@@ -29,12 +29,15 @@ from pncalc.distfn import (
 )
 from pncalc.tnorms import get_tnorm
 from pncalc.triangle import (
+    _ARRAY_MIN,
     _BLOCK,
     _FRACTIONS,
     LazyConv,
     TriangleFn,
     _SplitOptimum,
     _StepWalk,
+    _conv_array,
+    _conv_loop,
     _probe_array,
     conv_plateau,
     inf_conv,
@@ -142,6 +145,45 @@ def test_step_kernel_equals_reference_kernels_at_many_jumps(name, n):
         for conv, ref in ((sup_conv, _sup_conv_steps), (inf_conv, _inf_conv_steps)):
             got, want = conv(t, a, b), ref(t, a, b)
             assert (got.breakpoints, got.levels) == (want.breakpoints, want.levels)
+
+
+def _wide_step(rng, n):
+    """A step with n jumps, among them the edge cases of the sweep:
+    a jump at 0 or -0.0, adjacent floats, and jumps near 2^1019 and
+    2^1023, whose sums overflow to +inf."""
+    bps = np.sort(rng.choice(np.arange(1, 257), size=n, replace=False)) / 8.0
+    if rng.random() < 0.5:
+        bps[0] = rng.choice((0.0, -0.0))
+    if rng.random() < 0.5:
+        bps[2] = np.nextafter(bps[1], INF)
+    if rng.random() < 0.5:
+        bps[-2:] = 2.0**1019 * rng.choice((1.0, 1.5)), 2.0**1023 * rng.choice((1.0, 1.5, 1.75))
+    levels = np.sort(rng.choice(np.arange(1, 65), size=n, replace=False)) / 64.0
+    step = make_step(bps.tolist(), [0.0, *levels.tolist()])
+    assert len(step.breakpoints) == n
+    return step
+
+
+@pytest.mark.parametrize("name", ["min", "prod", "lukasiewicz", "t2"])
+def test_array_sweep_equals_the_loop_above_the_switch(name):
+    # bit for bit, down to the sign of a zero abscissa: the array sweep
+    # that the convolution takes from _ARRAY_MIN pairs on gives the loop's
+    # Step, also where sums overflow to +inf
+    t = get_tnorm(name)
+    rng = np.random.default_rng(17)
+    overflows = zeros = 0
+    for k in range(250):
+        a = Plateau(0.0) if k % 25 == 0 else _wide_step(rng, int(rng.integers(4, 40)))
+        b = _wide_step(rng, _ARRAY_MIN + int(rng.integers(0, 8)))
+        assert len(a.breakpoints) * len(b.breakpoints) >= _ARRAY_MIN
+        overflows += a.breakpoints[-1] + b.breakpoints[-1] == INF
+        for maximize in (True, False):
+            got = (sup_conv if maximize else inf_conv)(t, a, b)
+            want = _conv_loop(t, a, b, maximize)
+            assert repr(got) == repr(want) == repr(_conv_array(t, a, b, maximize)), (a, b, maximize)
+            zeros += bool(got.breakpoints) and str(got.breakpoints[0]) == "-0.0"
+    assert overflows > 25 and zeros > 5
+    assert sup_conv(t, Plateau(0.0), b) == EPS_INF
 
 
 # ------------------------------------------------------------ sup path
