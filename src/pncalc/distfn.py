@@ -41,12 +41,14 @@ GRID_TOL = 1e-6
 
 #: Largest grid, and most samples in a ``grid:@`` file: materializing a
 #: depth-1 convolution (a Ratio form or a walk over a Step side's jumps)
-#: takes about 0.3 us per point with two Ratios or a one-jump Step and
-#: 1.6-2.1 us (2.8-3.4 us under t2) with a 64-sample Grid, so 16384 points
-#: take under 0.1 s.  A walk reads every sample at every point: a file at
-#: the bound reads in about 35 ms, and its convolution with a Ratio
-#: materializes 16384 points in 4.7-5.5 s under prod and 7.7-11.8 s under
-#: t2 (2-CPU x86 host)
+#: at 16384 points takes about 0.04 us per point with two Ratios or a
+#: one-jump Step and 0.15-0.21 us (0.33-0.37 us under t2) with a 64-sample
+#: Grid, so under 10 ms.  A walk reads the samples below each block of
+#: points: a file at the bound reads in about 13 ms, and its convolution
+#: with a Ratio materializes 16384 points in 0.3-0.5 s under prod and
+#: 1.3-1.6 s under t2 when its samples span the points, and in 0.6-0.9 s
+#: and 2.8-3.2 s when they all lie below the first point, so that no jump
+#: is cut (2-CPU x86 host)
 MAX_GRID = 16384
 
 #: first grid sample as a fraction of the grid's x_max
@@ -297,17 +299,34 @@ class Grid(Step):
     at 0 is a jump at 0); the last sample doubles as the plateau, a
     horizon approximation for curves that keep climbing.  A value at most
     1e-15 below an earlier one is rounding wobble, raised to it.
+
+    ``xs`` and ``vs`` may be sequences or arrays.  Step's conditions are
+    checked on arrays, which become the Step's ``arrays``; a Grid that
+    fails one is built through ``Step``, whose checks name the fault.
     """
 
     is_approximate = True
 
     def __init__(self, xs, vs):
-        if len(xs) != len(vs) or not xs:
+        # a copy of xs, which becomes read-only: the caller's stays writeable
+        xs, vs = np.array(xs, dtype=float), np.asarray(vs, dtype=float)
+        if xs.ndim != 1 or xs.shape != vs.shape or not xs.size:
             raise ValueError("xs and vs must be nonempty and of equal length")
-        top = np.maximum.accumulate(np.asarray(vs, dtype=float))
-        if np.any(top - vs > 1e-15):
+        top = np.maximum.accumulate(vs)
+        with np.errstate(invalid="ignore"):  # inf - inf, for Step's check to name
+            wobble = top - vs
+        if np.any(wobble > 1e-15):
             raise ValueError("sample values must be nondecreasing")
-        super().__init__(tuple(xs), (0.0, *top.tolist()))
+        levels = np.concatenate(((0.0,), top))
+        # a NaN fails every comparison, and one in vs reaches top[-1]
+        if (0.0 <= xs[0] and xs[-1] < INF and np.all(xs[1:] > xs[:-1])
+                and 0.0 <= top[0] and top[-1] <= 1.0):
+            object.__setattr__(self, "breakpoints", tuple(xs.tolist()))
+            object.__setattr__(self, "levels", tuple(levels.tolist()))
+            xs.flags.writeable = levels.flags.writeable = False
+            self.__dict__["arrays"] = xs, levels  # what the cached property would build
+        else:
+            super().__init__(tuple(xs.tolist()), tuple(levels.tolist()))
 
     @property
     def xs(self) -> tuple[float, ...]:
@@ -601,7 +620,7 @@ def pointwise_min(fns) -> DistFn:
     xs = np.array(sorted(p for p in allpts if 0.0 < p < INF))
     vals = np.min(np.vstack([f.eval_many(xs) for f in fns]), axis=0)
     vals = np.maximum.accumulate(vals)
-    return Grid(tuple(xs.tolist()), tuple(np.clip(vals, 0.0, 1.0).tolist()))
+    return Grid(xs, np.clip(vals, 0.0, 1.0))
 
 
 def _min_steps(steps) -> Step:

@@ -87,6 +87,45 @@ def test_grid_is_the_step_of_its_samples():
         Grid((1.0, 2.0), (0.5,))
 
 
+def test_grid_from_arrays_equals_grid_from_tuples():
+    xs, vs = np.array([0.5, 1.0, 2.0]), np.array([0.2, 0.2 - 1e-16, 0.7])
+    g = Grid(xs, vs)
+    want = Grid(tuple(xs.tolist()), tuple(vs.tolist()))
+    assert g == want and repr(g) == repr(want) and hash(g) == hash(want)
+    assert {type(v) for v in g.breakpoints + g.levels} == {type(v) for v in want.breakpoints + want.levels} == {float}
+    assert Grid(np.array([1.0, 2.0]), np.array([0.5, 0.7])).vs == (0.5, 0.7)
+    # its arrays are the Step's, read-only; the caller's stay writeable and unchanged
+    bps, levels = g.arrays
+    assert bps.tolist() == list(want.breakpoints) and levels.tolist() == list(want.levels)
+    assert not (bps.flags.writeable or levels.flags.writeable)
+    assert xs.flags.writeable and vs.flags.writeable
+    assert xs.tolist() == [0.5, 1.0, 2.0] and vs.tolist() == [0.2, 0.2 - 1e-16, 0.7]
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("xs, vs, message", [
+    ((_NAN, 1.0), (0.2, 0.5), "breakpoints must be finite and nonnegative, got nan"),
+    ((1.0, 2.0), (0.2, _NAN), "levels must lie in [0, 1], got nan"),
+    ((-1.0, 1.0), (0.2, 0.5), "breakpoints must be finite and nonnegative, got -1.0"),
+    ((1.0, 2.0), (-0.1, 0.5), "levels must lie in [0, 1], got -0.1"),
+    ((1.0, INF), (0.2, 0.5), "breakpoints must be finite and nonnegative, got inf"),
+    ((1.0, 2.0), (0.5, INF), "levels must lie in [0, 1], got inf"),
+    ((2.0, 1.0), (0.2, 0.5), "breakpoints must be strictly ascending"),
+    ((1.0, 1.0), (0.2, 0.5), "breakpoints must be strictly ascending"),
+    ((1.0, 2.0), (0.5, 1.5), "levels must lie in [0, 1], got 1.5"),
+    ((1.0, 2.0), (0.5, 0.5 - 1e-14), "sample values must be nondecreasing"),
+    ((1.0, 2.0), (0.5,), "xs and vs must be nonempty and of equal length"),
+    ((), (), "xs and vs must be nonempty and of equal length"),
+])
+def test_grid_rejects_bad_samples_alike_from_tuples_and_arrays(xs, vs, message):
+    for make in (tuple, np.array):
+        with pytest.raises(ValueError) as err:
+            Grid(make(xs), make(vs))
+        assert str(err.value) == message
+
+
 def test_ratio_closed_form():
     f = from_spec("ratio:2")
     assert f.eval(2.0) == pytest.approx(0.5)  # x / (x + 2) at x = 2

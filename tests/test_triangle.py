@@ -13,6 +13,7 @@ import pncalc
 
 from pncalc.acceptance import brute_force_sup_conv
 from pncalc.distfn import (
+    DEFAULT_GRID,
     EPS0,
     EPS_INF,
     INF,
@@ -488,8 +489,12 @@ def test_lazy_kernel_equals_reference_kernel(monkeypatch, name, maximize):
 
 
 def test_lazy_kernel_reads_right_operand_only_below_the_cut(monkeypatch):
-    # G is read only at splits that are not endpoint duplicates: 91,092
-    # points, where reading every probe column took 140,756; built
+    # G is read only at splits that are not endpoint duplicates.  Each
+    # operand has 25 probe points, so a block holds 16,384 // (17 + 50 +
+    # 100) = 98 rows, and a row reads the 17 fractions and the kg right
+    # and kf left probe columns at or below the block's largest x: 81,684
+    # points, where every column of every row is 1,024 * 167 = 171,008
+    # and the 392-row blocks of a 2^16 block size cut at 91,092.  Built
     # directly, so the pair takes the search and not its closed form
     seen = []
     g_eval = Ratio._eval_pos_many
@@ -501,7 +506,7 @@ def test_lazy_kernel_reads_right_operand_only_below_the_cut(monkeypatch):
 
     monkeypatch.setattr(Ratio, "_eval_pos_many", counted)
     LazyConv(get_tnorm("min"), Ratio(0.7), Ratio(1.3), True).eval_many(np.geomspace(1e-3, 64.0, 1024))
-    assert sum(seen) == 91092
+    assert sum(seen) == 81684
 
 
 # ------------------------------------------------------------ closed forms
@@ -578,7 +583,7 @@ def test_closed_forms_match_a_dense_split_oracle(name, maximize):
 
 
 def test_step_walk_reads_each_abscissa_alone():
-    # the walk over 64 jumps reads 1,024 abscissae per block, so _LONG
+    # the walk over 64 jumps reads 256 abscissae per block, so _LONG
     # crosses a dozen seams; each value is the walk at that x alone
     g = _sample_curve(np.random.default_rng(4), 64)
     for maximize in (True, False):
@@ -586,6 +591,83 @@ def test_step_walk_reads_each_abscissa_alone():
         got = r.eval_many(_LONG)
         assert got.tolist()[::97] == [r.eval(float(x)) for x in _LONG[::97]]
         assert np.array_equal(got[::-1], r.eval_many(_LONG[::-1]))
+
+
+# The walk before the cut, kept as the reference: every jump at every
+# abscissa, in blocks of 2^16 values.
+
+def _full_walk(walk, xs):
+    bps, levels = (a[:, None] for a in walk.f.arrays)
+    reduce, first = (np.maximum.reduce, 0.0) if walk.maximize else (np.minimum.reduce, walk.f.plateau)
+    cols = (1 << 16) // max(1, bps.size)
+    out = np.empty(xs.shape)
+    for i in range(0, xs.size, cols):
+        vals = walk.g.eval_many(xs[i:i + cols] - bps)
+        if walk.maximize:
+            vals = walk.tnorm.fn_np(levels[1:], vals)
+        elif bps.size > 1:
+            vals[1:] = walk.tnorm.conorm.fn_np(levels[1:-1], vals[1:])
+        out[i:i + cols] = reduce(vals, axis=0, initial=first)
+    return out
+
+
+def _walk_xs(f, rng):
+    """Each jump of F (every 20th of a large Grid) and its neighbours one
+    ulp either side, with points from 1e-300 to far past the last jump, a
+    third of them repeated, shuffled; then more ascending points than
+    three blocks hold, and the same descending."""
+    bps = np.asarray(f.breakpoints)[::20 if len(f.breakpoints) > 200 else 1]
+    pts = np.concatenate([bps, np.nextafter(bps, -INF), np.nextafter(bps, INF),
+                          np.geomspace(1e-3, 64.0, 40), [1e-300, 1e6]])
+    pts = pts[pts > 0.0]
+    ascending = np.geomspace(1e-3, 64.0, 3 * (_BLOCK // max(1, len(f.breakpoints))) + 50)
+    return rng.permutation(np.concatenate([pts, pts[::3]])), ascending, ascending[::-1]
+
+
+@pytest.mark.parametrize("name", _TNORMS)
+def test_cut_walk_equals_the_full_walk_bit_for_bit(name):
+    # the rows past each block's cut read G at x - b <= 0; dropping them
+    # leaves every value and its sign bit as the full walk's
+    t = get_tnorm(name)
+    rng = np.random.default_rng(18)
+    fs = [_sample_curve(rng, n) for n in (1, 2, 64, 2000)] + [
+        make_step((0.5, 1.25, 3.0), (0.0, 0.2, 0.6, 0.9)),
+        Step((0.0, 1.0, 2.0), (0.0, 0.0, 0.5, 0.5)),  # a level held across jumps
+        Plateau(0.0), Plateau(1.0), EPS_INF]
+    prod = get_tnorm("prod")
+    gs = [Ratio(1.3), Plateau(0.6), _sample_curve(rng, 30), eps(0.75), sup_conv(prod, Ratio(0.7), Ratio(1.3))]
+    searched = LazyConv(get_tnorm("min"), Ratio(0.7), Ratio(1.3), True)
+    for f in fs:
+        shuffled, ascending, descending = _walk_xs(f, rng)
+        cases = [(g, xs) for g in gs for xs in (shuffled, ascending, descending)]
+        if len(f.breakpoints) <= 3:  # the search reads ~170 points per value
+            cases.append((searched, shuffled))
+        for g, xs in cases:
+            for maximize in (True, False):
+                walk = _StepWalk(t, f, g, maximize)
+                got, want = walk._eval_pos_many(xs), _full_walk(walk, xs)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (f, g, maximize)
+
+
+def test_cut_walk_reads_only_the_jumps_below_each_block(monkeypatch):
+    # a 64-sample Grid reads 16,384 // 64 = 256 ascending points per
+    # block.  Its jumps sit at 2^(-6 + 12 j / 63), and the default grid's
+    # block tops at 2^-8.96, 2^-3.98, 2^1.01 and 64: below them lie no
+    # jump, j <= 10, j <= 36 and j <= 62, so G is read at 256 * (0 + 11 +
+    # 37 + 63) = 28,416 points, where the full walk read 64 * 1,024 = 65,536
+    seen = []
+    g_eval = Ratio.eval_many
+
+    def counted(self, xs):
+        seen.append(xs.size)
+        return g_eval(self, xs)
+
+    grid = Grid(np.geomspace(1.0 / 64.0, 64.0, 64), np.linspace(0.01, 0.99, 64))
+    monkeypatch.setattr(Ratio, "eval_many", counted)
+    for conv in (sup_conv, inf_conv):
+        seen.clear()
+        conv(get_tnorm("prod"), grid, Ratio(1.3)).eval_many(DEFAULT_GRID.points())
+        assert sum(seen) == 28416
 
 
 def test_closed_forms_reach_the_optima_the_search_misses():
