@@ -84,7 +84,10 @@ def _parse_set(text: str, dim: int, n_samples: int = 200) -> SetSpec:
         return all_reals()
     kind, _, rest = text.partition(":")
     if kind == "interval" and rest:
-        lo, hi = (float(v) for v in rest.split(","))
+        try:
+            lo, hi = (float(v) for v in rest.split(","))
+        except ValueError:
+            raise UsageError(f"malformed set spec {text!r}: an interval takes two bounds, lo,hi") from None
         return interval_rationals(lo, hi, n_samples)
     if kind == "finite" and rest:
         return finite_set(parse_vectors(rest))

@@ -255,6 +255,10 @@ class Plateau(Step):
 #: probe ladder of Ratio(1); Ratio(beta) probes beta times it
 _RATIO_LADDER = np.geomspace(1e-3, 1e3, 25)
 
+#: x + beta stays finite at every finite x up to this scale; a Ratio above
+#: it reads at half scale, the same value, as halving is exact
+_HALF_SCALE_ABOVE = 2.0**969
+
 
 @dataclass(frozen=True)
 class Ratio(DistFn):
@@ -267,9 +271,13 @@ class Ratio(DistFn):
             raise ValueError(f"ratio scale must be positive and finite, got {self.beta!r}")
 
     def _eval_pos(self, x: float) -> float:
-        return x / (x + self.beta)
+        h = 0.5 if self.beta > _HALF_SCALE_ABOVE else 1.0  # times 1.0 is exact
+        return h * x / (h * x + h * self.beta)
 
     def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
+        if self.beta > _HALF_SCALE_ABOVE:
+            xs = 0.5 * xs
+            return xs / (xs + 0.5 * self.beta)
         return xs / (xs + self.beta)
 
     @property
@@ -285,6 +293,10 @@ class Ratio(DistFn):
         return Ratio(beta) if beta > 0.0 else EPS0
 
     def probe_xs(self) -> tuple[float, ...]:
+        if self.beta > _HALF_SCALE_ABOVE:  # the ladder points past the largest float drop out
+            with np.errstate(over="ignore"):
+                pts = self.beta * _RATIO_LADDER
+            return tuple(pts[pts < INF])
         return tuple(self.beta * _RATIO_LADDER)
 
     @property
@@ -337,7 +349,15 @@ class Grid(Step):
         return self.levels[1:]
 
     def scale_arg(self, a: float) -> "DistFn":
-        return _sampled(super().scale_arg(a))
+        # make_step's pass on arrays: jumps that add no height or overflow
+        # drop, and those that round onto one abscissa merge into the first
+        xs, levels = self.arrays
+        with np.errstate(over="ignore"):
+            bps = xs * self._check_scale(a)
+        keep = (levels[1:] > levels[:-1]) & (bps < INF)
+        bps, vs = bps[keep], levels[1:][keep]
+        new = bps[1:] != bps[:-1]
+        return Grid(bps[np.insert(new, 0, True)], vs[np.append(new, True)]) if bps.size else EPS_INF
 
 
 def _sampled(s: Step) -> DistFn:
@@ -401,15 +421,19 @@ def from_spec(text: str) -> DistFn:
             raise ValueError("grid spec must reference a file: grid:@<path>")
         xs, vs = [], []
         with open(arg[1:], encoding="utf-8") as fh:
-            for line in fh:
+            for n, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 if len(xs) == MAX_GRID:
                     raise ValueError(f"grid file {arg[1:]!r} has more than {MAX_GRID} samples")
-                sx, sv = line.split()
-                xs.append(float(sx))
-                vs.append(float(sv))
+                try:
+                    x, v = map(float, line.split())
+                except ValueError:
+                    raise ValueError(f"grid file {arg[1:]!r} line {n}: expected two numbers, x and value, "
+                                     f"got {line!r}") from None
+                xs.append(x)
+                vs.append(v)
         return Grid(tuple(xs), tuple(vs))
     raise ValueError(f"unknown distribution family {kind!r}")
 
@@ -612,15 +636,17 @@ def pointwise_min(fns) -> DistFn:
     if all(isinstance(f, Step) for f in fns):
         m = _min_steps(fns)
         return _sampled(m) if any(f.is_approximate for f in fns) else m
-    xs = merged_probe_xs(fns[0], fns[1])
-    allpts = set(xs.tolist())
-    for f in fns[2:]:
-        allpts.update(float(x) for x in f.probe_xs())
-    allpts.update(DEFAULT_GRID.points().tolist())
-    xs = np.array(sorted(p for p in allpts if 0.0 < p < INF))
-    vals = np.min(np.vstack([f.eval_many(xs) for f in fns]), axis=0)
-    vals = np.maximum.accumulate(vals)
-    return Grid(xs, np.clip(vals, 0.0, 1.0))
+    return _sample_min(fns)
+
+
+def _sample_min(fns) -> Grid:
+    """The Grid below the pointwise minimum of functions, read at the
+    first two's merged probe set, the others' probes and the default grid."""
+    xs = np.concatenate([merged_probe_xs(*fns[:2]), *(np.asarray(f.probe_xs(), dtype=float) for f in fns[2:]),
+                         DEFAULT_GRID.points()])
+    xs = np.unique(xs[(xs > 0.0) & (xs < INF)])
+    vals = np.min([f.eval_many(xs) for f in fns], axis=0)
+    return Grid(xs, np.clip(np.maximum.accumulate(vals), 0.0, 1.0))
 
 
 def _min_steps(steps) -> Step:

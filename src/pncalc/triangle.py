@@ -31,92 +31,66 @@ walk goes over the abscissae in blocks of about ``_BLOCK`` values and
 reads G only for the jumps below each block's largest x: a jump b >= x
 adds T(l, 0) = 0 to the sup and S(l, 0) = l to the inf, the least of
 which is the level before the first jump left out, so the cut changes
-no value.  On ascending abscissae (grids, probe sets) each block cuts at
-its own top; in any order the values stay exact.  A pair with a Grid
-stays lazy, as its values carry the sampling error.
-Ratio(b) is the Dombi generator family, 1/G - 1 = b/x, so for Ratio(a)
-(+) Ratio(b) the optimum over s + t = x has a closed form (Dombi, Fuzzy
-Sets and Systems 8, 1982; Schweizer & Sklar, ch. 7):
+no value.  A pair with a Grid stays lazy, as its values carry the
+sampling error.
+Ratio(b) is the Dombi generator family, 1/G - 1 = b/x, so the optimum
+over s_1 + ... + s_n = x of a chain Ratio(a_1) (+) ... (+) Ratio(a_n)
+of one kind and t-norm (associative: Schweizer & Sklar, ch. 7) has a
+closed form (Dombi, Fuzzy Sets and Systems 8, 1982), R = sum sqrt(a_i):
 
     t-norm       sup                                  inf
     min          Ratio(a + b)                         Ratio(a + b)
     t2           Ratio((a^2/3 + b^2/3)^3/2)           Ratio(hypot(a, b))
-    prod         F(s) G(t) at s = x A/(A + B),        Ratio(max(a, b))
-                 t = x B/(A + B), with
-                 A = sqrt(a) sqrt(x + b),
-                 B = sqrt(b) sqrt(x + a)
-    lukasiewicz  max(0, (x - 2 sqrt(ab))/(x + a + b))  Ratio(max(a, b))
+    prod         n = 2: F(s) G(t) at s = x A/(A + B), Ratio(max(a, b))
+                 t = x B/(A + B), A = sqrt(a) sqrt(x + b),
+                 B = sqrt(b) sqrt(x + a);  n >= 3: the
+                 product at s_i = (sqrt(a_i^2 + 4 a_i nu^2) - a_i)/2,
+                 nu the root of sum s_i = x
+    lukasiewicz  max(0, 1 - R^2/(x + sum a_i))         Ratio(max(a, b))
 
 The sup objective is log-concave under prod and concave under
 Lukasiewicz, so its stationary point is the maximum; the inf objective
-under prod and Lukasiewicz is concave, so its minimum sits at an endpoint
-split.  A ``LazyConv`` operand whose closed form is a Ratio is read as
-that Ratio, so min and t2 chains and every inf chain stay closed at any
-depth.
-
-Every other pair (no Step side, and not two Ratios) is searched lazily
-over a merged candidate set of sample points, fixed fractions of x, and
-breakpoint images.  The search runs over the abscissae in ascending row
-blocks of about ``_BLOCK`` candidates, so each nesting level holds a
-bounded number of values, and reads the left operand once per
-evaluation at its own probe points.  A probe point above x splits x at
-an endpoint, (0, x) or (x, 0), which the fraction columns 0.0 and 1.0
-already hold bit for bit; so each block reads only the probe points at
-or below its largest abscissa, and since max and min are exact, leaving
-those duplicate columns out changes no value.  Materialized samples are
-re-monotonized by a running max to absorb floating-point wobble.
+is concave, so its minimum sits at an endpoint split.  Each s_i(nu) is
+convex, above its asymptote sqrt(a_i) nu - a_i/2 and below nu^2 and
+sqrt(a_i) nu, so Newton's method falls monotonically onto nu from the
+lesser of two starts above it, where the asymptotes or half the smaller
+bounds add up to x: 7 to 10 rounds at scale ratios up to 1e600 and x
+from 1e-300 to 1e300.  A ``LazyConv`` operand whose form is a Ratio is
+read as it, so min, t2 and inf chains stay Ratios, and a scale that
+overflows takes the limit of ``Ratio.scale_arg``, eps(inf).  A walk
+convolved again under its own kind and t-norm re-associates: walk(F, G)
+(+) X = walk(F, G (+) X).  Any other pair (a chain under another kind
+or t-norm) reads the operand that is neither a Step nor a Ratio onto a
+Grid below it, at the sampled points of ``pointwise_min``, and walks
+that Grid: as both convolutions are nondecreasing in each operand, its
+values are lower bounds under both kinds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distfn import (
-    _ARRAY_MIN,
-    _rising_step,
-    DEFAULT_GRID,
-    INF,
-    DistFn,
-    Grid,
-    GridSpec,
-    Ratio,
-    Step,
-    compare_leq,
-    distfn_equal,
-    is_eps0,
-    make_step,
-    max_tf,
-)
-from .distfn import EPS0
+from .distfn import (_ARRAY_MIN, DEFAULT_GRID, EPS0, EPS_INF, INF, DistFn, Grid, GridSpec, Ratio, Step,
+                     _rising_step, _sample_min, compare_leq, distfn_equal, is_eps0, make_step, max_tf)
 from .tnorms import LawCheck, TNorm
 
-_FRACTIONS = np.linspace(0.0, 1.0, 17)
-
-#: values per block of a lazy evaluation, the walk's jumps times its
-#: columns or the search's candidates times its rows, so that each nesting
-#: level holds O(_BLOCK) values whatever the number of points.  At 2^14 a
-#: float temporary is at most 128 KB (512 KB at 2^16), and ascending
-#: points split into enough blocks for the walk's cut to drop the jumps
-#: above most of them; at 2^13 the per-block numpy calls cost more than
-#: the smaller temporaries save.  A 64-sample Grid (+) Ratio at 1,024
-#: ascending points, us per walk at 2^16 / 2^14 / 2^13 (2-CPU shared x86
-#: host, best of 15):
+#: values per block of a walk, its jumps times its columns, so that each
+#: nesting level holds O(_BLOCK) values whatever the number of points.
+#: At 2^14 a float temporary is at most 128 KB (512 KB at 2^16), and
+#: ascending points split into enough blocks for the walk's cut to drop
+#: the jumps above most of them; at 2^13 the per-block numpy calls cost
+#: more than the smaller temporaries save.  A 64-sample Grid (+) Ratio
+#: at 1,024 ascending points, us per walk at 2^16 / 2^14 / 2^13 (2-CPU
+#: shared x86 host, best of 15):
 #:
 #:     sup:min 445 / 164 / 195     sup:prod 460 / 179 / 206
 #:     inf:min 636 / 210 / 266     inf:prod 701 / 224 / 267
 #:     sup:t2  870 / 425 / 485     inf:t2  1216 / 509 / 557
 _BLOCK = 1 << 14
-
-
-def _probe_array(f: DistFn) -> np.ndarray:
-    pts = np.array([p for p in f.probe_xs() if math.isfinite(p) and p >= 0.0])
-    if pts.size == 0:
-        return pts
-    # points just past each feature so post-jump levels are visible
-    return np.concatenate([pts, np.nextafter(pts, INF)])
 
 
 def _conv_steps(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:
@@ -173,24 +147,54 @@ def _conv_array(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:
 
 
 @dataclass(frozen=True)
-class _SplitOptimum(DistFn):
-    """The optimum over s + t = x of Ratio(a) (+) Ratio(b) under the sup
-    of prod or Lukasiewicz, read per point from the module table.  It
-    serves only as a ``LazyConv``'s evaluator."""
+class _Chain(DistFn):
+    """A sup:prod or sup:Lukasiewicz chain of Ratios (see the module
+    docstring); a ``LazyConv``'s evaluator."""
 
     tnorm: TNorm
-    f: Ratio
-    g: Ratio
+    scales: tuple[float, ...]
 
     def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
-        a, b = self.f.beta, self.g.beta
-        if self.tnorm.name == "prod":
+        a = self.scales
+        if self.tnorm.name == "lukasiewicz":
+            # R^2 - sum a_i as 2 sum_{i<j} sqrt(a_i) sqrt(a_j), with no cancellation
+            cross = run = 0.0
+            den = xs
+            for b in a:
+                cross += 2.0 * math.sqrt(b) * run
+                run += math.sqrt(b)
+                den = den + b
+            return np.maximum(0.0, (xs - cross) / den)
+        if len(a) == 2:
             # the factors keep sqrt(a (x + b)) from overflowing at large x
-            wa = math.sqrt(a) * np.sqrt(xs + b)
-            wb = math.sqrt(b) * np.sqrt(xs + a)
+            wa = math.sqrt(a[0]) * np.sqrt(xs + a[1])
+            wb = math.sqrt(a[1]) * np.sqrt(xs + a[0])
             s, t = xs * (wa / (wa + wb)), xs * (wb / (wa + wb))
-            return s / (s + a) * (t / (t + b))
-        return np.maximum(0.0, (xs - 2.0 * math.sqrt(a) * math.sqrt(b)) / (xs + a + b))
+            return s / (s + a[0]) * (t / (t + a[1]))
+        # in units of the largest scale: past x = 2^1000 every factor
+        # rounds to 1, and where x underflows to 0 the value does too
+        m = max(a)
+        alpha = np.maximum(np.array(a) / m, np.finfo(float).tiny)[:, None]
+        r = np.sqrt(alpha)
+        with np.errstate(over="ignore"):
+            x = np.minimum(xs / m, 2.0**1000)
+        zero = x == 0.0
+        x[zero] = 1.0
+        # two starts above the root: where the asymptotes add up to x, and
+        # where s_i of the largest scale, above min(nu^2, nu) / 2, reaches x
+        nu = np.minimum((x + alpha.sum() / 2.0) / r.sum(), np.maximum(np.sqrt(2.0 * x), 2.0 * x))
+        while True:
+            # s_i = 2 r_i nu^2 / (r_i + hypot(r_i, 2 nu)), slope 2 r_i nu / hypot(r_i, 2 nu)
+            hyp = np.hypot(r, 2.0 * nu)
+            slope = 2.0 * r * nu
+            s = nu * (slope / (r + hyp))
+            step = nu - (s.sum(axis=0) - x) / (slope / hyp).sum(axis=0)
+            if not (step < nu).any():
+                break
+            nu = np.minimum(step, nu)
+        out = np.prod(s / (s + alpha), axis=0)
+        out[zero] = 0.0
+        return out
 
 
 @dataclass(frozen=True)
@@ -224,111 +228,81 @@ class _StepWalk(DistFn):
         return out
 
 
-def _read_through(f: DistFn) -> DistFn:
-    """A lazy result whose closed form is a Ratio, read as that Ratio."""
-    if isinstance(f, LazyConv) and isinstance(f.closed, Ratio):
-        return f.closed
-    return f
+def _scales(t: TNorm, f: DistFn) -> tuple[float, ...] | None:
+    """The scales of a Ratio, or of a lazy result that is a chain under T;
+    None for any other function."""
+    if isinstance(f, Ratio):
+        return (f.beta,)
+    if isinstance(f, LazyConv) and isinstance(f.closed, _Chain) and f.closed.tnorm.name == t.name:
+        return f.closed.scales
 
 
-def _closed_form(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn | None:
-    """The convolution of F and G in closed form, from the module table,
-    or None when the pair has none (or its Ratio scale overflows)."""
-    f, g = _read_through(f), _read_through(g)
+def _closed_form(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn:
+    """The convolution of F and G from the module table."""
+    # a lazy result whose form is a Ratio or a Step reads as it
+    if isinstance(f, LazyConv) and isinstance(f.closed, (Ratio, Step)):
+        f = f.closed
+    if isinstance(g, LazyConv) and isinstance(g.closed, (Ratio, Step)):
+        g = g.closed
     # walk the Step side, the one with fewer jumps when both are Steps
     if isinstance(g, Step) and not (isinstance(f, Step) and len(f.breakpoints) <= len(g.breakpoints)):
         f, g = g, f
     if isinstance(f, Step):
         return _StepWalk(t, f, g, maximize)
-    if not (isinstance(f, Ratio) and isinstance(g, Ratio)):
-        return None
-    a, b = f.beta, g.beta
-    if t.name == "min":
-        beta = a + b
-    elif t.name == "t2":
-        # (a^2/3 + b^2/3)^3/2 with the larger scale factored out: a float
-        # power that overflows raises, a product only rounds to inf
-        hi, lo = max(a, b), min(a, b)
-        beta = hi * (1.0 + (lo / hi) ** (2.0 / 3.0)) ** 1.5 if maximize else math.hypot(a, b)
-    elif maximize:
-        return _SplitOptimum(t, f, g)
-    else:
-        beta = max(a, b)
-    return Ratio(beta) if beta < INF else None
+    if maximize and t.name in ("prod", "lukasiewicz"):
+        fs, gs = _scales(t, f), _scales(t, g)
+        if fs and gs:
+            return _Chain(t, fs + gs)
+    elif isinstance(f, Ratio) and isinstance(g, Ratio):
+        a, b = f.beta, g.beta
+        if t.name == "min":
+            beta = a + b
+        elif t.name == "t2":
+            # (a^2/3 + b^2/3)^3/2 with the larger scale factored out: a float
+            # power that overflows raises, a product only rounds to inf
+            hi, lo = max(a, b), min(a, b)
+            beta = hi * (1.0 + (lo / hi) ** (2.0 / 3.0)) ** 1.5 if maximize else math.hypot(a, b)
+        else:
+            beta = max(a, b)
+        # a scale past the largest float takes the limit of Ratio.scale_arg
+        return Ratio(beta) if beta < INF else EPS_INF
+    # a walk convolved again under its own kind and t-norm re-associates
+    for h, other in ((f, g), (g, f)):
+        if isinstance(h, LazyConv) and isinstance(h.closed, _StepWalk):
+            walk = h.closed
+            if walk.maximize == maximize and walk.tnorm.name == t.name:
+                return _StepWalk(t, walk.f, _convolve(t, walk.g, other, maximize), maximize)
+    # any other pair walks the Grid below the operand that is not a Ratio
+    h, other = (g, f) if isinstance(f, Ratio) else (f, g)
+    return _StepWalk(t, _sample_min([h]), other, maximize)
 
 
 @dataclass(frozen=True)
 class LazyConv(DistFn):
-    """Convolution evaluated on demand.
-
-    When ``closed`` is set, each value is read from it: ``sup_conv`` and
-    ``inf_conv`` set it to the walk over the jumps of a Step side, and
-    for two Ratios to the form in the module table.  Otherwise, at each
-    x, T(F(s), G(x-s)) is optimized over endpoint splits, fixed fractions
-    of x, and both operands' probe abscissae (in both orientations): the
-    search, left to pairs with no Step side that are not two Ratios.  A
-    ``LazyConv`` built directly has no closed form and takes the search.
-
-    The search goes over the abscissae in ascending blocks, and a block
-    reads only the probe points at or below its largest x.  The cut is
-    exact: a right probe point t > x clips to the split s = 0, and a
-    left one s > x to s = x, which are the fraction 0.0 and 1.0 columns.
-
-    The search can only miss the optimum, so the sup path never
-    overestimates and the inf path never underestimates the true
-    convolution; the plateau is exact (see ``conv_plateau``).  Values
-    stay flagged approximate either way, so default tolerances do not
-    depend on which path a pair takes.
-    """
+    """Convolution evaluated on demand, read from ``closed``, the pair's
+    form in the module table.  Values are exact, but for the sampled
+    fallback, where they are lower bounds under both kinds, and for a
+    Ratio scale that overflows, read as its limit eps(inf).  The plateau
+    is exact either way (see ``conv_plateau``).  Values stay flagged
+    approximate, so default tolerances do not depend on the form."""
 
     tnorm: TNorm
     f: DistFn
     g: DistFn
     maximize: bool
-    closed: DistFn | None = None
 
     is_approximate = True
 
+    @functools.cached_property
+    def closed(self) -> DistFn:
+        return _closed_form(self.tnorm, self.f, self.g, self.maximize)
+
     def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if self.closed is not None:
-            return self.closed._eval_pos_many(xs)
-        pf = np.sort(_probe_array(self.f))
-        pg = _probe_array(self.g)
-        pg = np.sort(np.concatenate([pg, np.nextafter(pg, -INF)]))
-        # the split at pf[k] is min(pf[k], x), so F there is F(pf[k]) or,
-        # past x, F(x): the fraction 1.0 column, as x * 1.0 == x
-        fpf = self.f.eval_many(pf)
-        op = self.tnorm.fn_np if self.maximize else self.tnorm.conorm.fn_np
-        reduce = np.max if self.maximize else np.min
-        combine = np.maximum if self.maximize else np.minimum
-        rows = max(1, _BLOCK // (_FRACTIONS.size + pf.size + pg.size))
-        order = np.argsort(xs, kind="stable")
-        out = np.empty(xs.shape)
-        for i in range(0, xs.size, rows):
-            at = order[i:i + rows]
-            col = xs[at, None]
-            # rows ascend, so the probe points above the block's largest
-            # x clip to endpoint splits in every row (see the class doc)
-            top = col[-1, 0]
-            kg = np.searchsorted(pg, top, "right")
-            kf = np.searchsorted(pf, top, "right")
-            ss = np.clip(np.concatenate([col * _FRACTIONS, col - pg[:kg]], axis=1), 0.0, col)
-            fv = self.f.eval_many(ss)
-            best = reduce(op(fv, self.g.eval_many(col - ss)), axis=1)
-            if kf:
-                fx = fv[:, _FRACTIONS.size - 1, None]
-                sf = np.clip(pf[:kf], 0.0, col)
-                fs = np.where(pf[:kf] <= col, fpf[:kf], fx)
-                best = combine(best, reduce(op(fs, self.g.eval_many(col - sf)), axis=1))
-            out[at] = best
-        return np.clip(out, 0.0, 1.0)
+        return self.closed._eval_pos_many(xs)
 
     @property
     def plateau(self) -> float:
-        if self.maximize:
-            return self.tnorm(self.f.plateau, self.g.plateau)
-        return min(self.f.plateau, self.g.plateau)
+        return self.tnorm(self.f.plateau, self.g.plateau) if self.maximize else min(self.f.plateau, self.g.plateau)
 
     @property
     def has_continuous_part(self) -> bool:
@@ -337,19 +311,15 @@ class LazyConv(DistFn):
     def scale_arg(self, a: float) -> "LazyConv":
         # sup_{s+t=x/a} T(F(s), G(t)) rewrites to the convolution of the
         # argument-scaled operands, so scaling distributes
-        f, g = self.f.scale_arg(a), self.g.scale_arg(a)
-        closed = None if self.closed is None else _closed_form(self.tnorm, f, g, self.maximize)
-        return LazyConv(self.tnorm, f, g, self.maximize, closed)
+        return LazyConv(self.tnorm, self.f.scale_arg(a), self.g.scale_arg(a), self.maximize)
 
     def probe_xs(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.f.probe_xs()) | set(self.g.probe_xs())))
 
     def materialize(self, grid: GridSpec = DEFAULT_GRID) -> Grid:
-        """Sample onto a grid; re-monotonized by a running max to absorb
-        candidate-set wobble between neighbouring abscissae."""
+        """Sample onto a grid."""
         xs = grid.points()
-        vals = np.maximum.accumulate(self._eval_pos_many(xs))
-        return Grid(xs, vals)
+        return Grid(xs, self._eval_pos_many(xs))
 
 
 def _convolve(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn:
@@ -359,7 +329,7 @@ def _convolve(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn:
         return f
     if isinstance(f, Step) and isinstance(g, Step) and not (f.is_approximate or g.is_approximate):
         return _conv_steps(t, f, g, maximize)
-    return LazyConv(t, f, g, maximize, _closed_form(t, f, g, maximize))
+    return LazyConv(t, f, g, maximize)
 
 
 def sup_conv(t: TNorm, f: DistFn, g: DistFn) -> DistFn:

@@ -352,6 +352,30 @@ def test_grid_file_above_its_bound_is_a_usage_error(capsys, monkeypatch, tmp_pat
     assert f"has more than {MAX_GRID} samples" in err
 
 
+def test_malformed_grid_row_names_the_file_and_line(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("# x value\n0.5 0.2\n1.0 0.6 0.7\n")
+    code, out, err = run_cli(capsys, "convolve", "--kind", "max", "--lhs", f"grid:@{path}", "--rhs", "step:0")
+    assert code == 2
+    assert out == ""
+    assert f"grid file {str(path)!r} line 3: expected two numbers, x and value, got '1.0 0.6 0.7'" in err
+
+
+@pytest.mark.parametrize("spec", ["interval:1", "interval:1,2,3", "interval:a,b"])
+def test_malformed_interval_names_the_spec(capsys, spec):
+    code, out, err = run_cli(capsys, "classify", "--space", "E25", "--set", spec)
+    assert code == 2
+    assert out == ""
+    assert f"malformed set spec {spec!r}: an interval takes two bounds, lo,hi" in err
+
+
+def test_ratio_near_the_largest_float_prints_no_warning(capsys):
+    # the probe ladder and the values of ratio:1e308 stay finite
+    code, out, err = run_cli(capsys, "convolve", "--kind", "max", "--lhs", "ratio:1e308", "--rhs", "step:1")
+    assert code == 0
+    assert err == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     (("classify", "--space", "E25", "--set", "interval:1,2", "--tol", "nan"), "tolerance must be finite and in [0, 1), got nan"),
     (("axioms", "--space", "E12", "--tol", "nan"), "tolerance must be finite and in [0, 1), got nan"),

@@ -3,6 +3,7 @@ weak-convergence distance, and membership in the proper subset."""
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -131,6 +132,37 @@ def test_ratio_closed_form():
     assert f.eval(2.0) == pytest.approx(0.5)  # x / (x + 2) at x = 2
     assert f.eval(0.0) == 0.0
     assert f.plateau == 1.0
+
+
+def test_ratio_near_the_largest_float():
+    # x + beta overflowed above 2^969; at half scale the sum stays finite
+    assert Ratio(1e308).eval(1e308) == 0.5
+    assert Ratio(1e308).eval_many(np.array([1e308]))[0] == 0.5
+    # the ladder points below the largest float stay
+    ladder = [1e308 * float(r) for r in distfn._RATIO_LADDER]
+    assert list(Ratio(1e308).probe_xs()) == [p for p in ladder if p < INF] == ladder[:14]
+
+
+def test_ratio_agrees_with_exact_arithmetic_up_to_the_largest_float():
+    # x / (x + beta) rounds twice, so it lies within 2 ulps of the exact
+    # quotient; at half scale above 2^969 the same holds (at 2^970 the
+    # largest float plus beta ties and rounds to inf), and below it the
+    # values are those of the unhalved quotient bit for bit
+    from fractions import Fraction
+
+    top = sys.float_info.max
+    rng = random.Random(8)
+    ladder = [top, 1e308, 2.0**970, 2.0**969, math.nextafter(2.0**969, INF), 1e300, 1.0, 1e-300, 5e-324]
+    pairs = [(x, b) for x in ladder for b in ladder]
+    pairs += [(10.0 ** rng.uniform(-320.0, 308.25), 10.0 ** rng.uniform(-320.0, 308.25)) for _ in range(2000)]
+    for x, b in pairs:
+        exact = Fraction(x) / (Fraction(x) + Fraction(b))
+        ulp = Fraction(math.ulp(float(exact)))
+        got = Ratio(b).eval(x)
+        assert abs(Fraction(got) - exact) <= 2 * ulp, (x, b)
+        assert Ratio(b).eval_many(np.array([x]))[0] == got
+        if b <= 2.0**969:
+            assert got == x / (x + b)
 
 
 def test_construct_rejects_bad_params():
@@ -546,6 +578,24 @@ def test_scale_arg_takes_the_limit_when_scaling_underflows():
     assert Grid((1e-300, 1.0), (0.0, 0.5)).scale_arg(1e-30) == Grid((1e-30,), (0.5,))
     # x / (x + beta) tends to 1 at every x > 0 as beta shrinks
     assert Ratio(1e-300).scale_arg(1e-300) == EPS0
+
+
+def test_grid_scale_arg_equals_the_step_route():
+    # the arrays scaled directly give the Grid that make_step builds from
+    # the scaled jumps: zero-height jumps drop, overflowed ones too, and
+    # jumps that round onto one abscissa merge
+    rng = np.random.default_rng(23)
+    for k in range(200):
+        n = int(rng.integers(1, 40))
+        xs = np.sort(rng.choice(np.geomspace(1e-310, 1e308, 4000), size=n, replace=False))
+        if k % 4 == 0:
+            xs[0] = rng.choice((0.0, -0.0))
+        vs = np.sort(rng.choice(np.arange(0, 9), size=n)) / 8.0  # repeated values
+        g = Grid(xs, vs)
+        for a in (1e-300, 1e-30, 0.5, 3.0, 1e300):
+            got, want = g.scale_arg(a), distfn._sampled(Step.scale_arg(g, a))
+            assert type(got) is type(want) and got == want, (g, a)
+            assert np.array_equal(np.signbit(got.breakpoints), np.signbit(want.breakpoints))
 
 
 def test_scale_arg_rejects_nonpositive():

@@ -1,6 +1,6 @@
-"""Triangle functions: exact step convolutions and the lazy kernel against
-reference kernels and brute-force oracles, unit and dominance laws, and
-the law suite."""
+"""Triangle functions: exact step convolutions against reference kernels,
+the lazy closed forms against brute-force split oracles, unit and
+dominance laws, and the law suite."""
 
 import os
 import subprocess
@@ -32,14 +32,12 @@ from pncalc.tnorms import get_tnorm
 from pncalc.triangle import (
     _ARRAY_MIN,
     _BLOCK,
-    _FRACTIONS,
     LazyConv,
     TriangleFn,
-    _SplitOptimum,
+    _Chain,
     _StepWalk,
     _conv_array,
     _conv_loop,
-    _probe_array,
     conv_plateau,
     inf_conv,
     parse_triangle,
@@ -367,7 +365,7 @@ def test_lazy_materialize_is_monotone_grid():
 
 def test_exact_and_lazy_paths_agree_on_random_steps():
     # two independent routes to the same definition: breakpoint
-    # enumeration versus on-demand split search
+    # enumeration versus the walk over one side's jumps
     rng = np.random.default_rng(9)
     for name in ("min", "prod", "lukasiewicz"):
         t = get_tnorm(name)
@@ -388,125 +386,6 @@ def test_exact_and_lazy_paths_agree_on_random_steps():
 
 def _conv_exact(t, f, g, maximize):
     return sup_conv(t, f, g) if maximize else inf_conv(t, f, g)
-
-
-# The lazy kernel that preceded the row blocks, kept as the reference: it
-# builds the whole rows x candidates matrix and reads F at every candidate.
-
-def _lazy_reference_kernel(self, xs):
-    xs = np.asarray(xs, dtype=float)
-    col = xs[:, None]
-    blocks = [col * _FRACTIONS[None, :]]
-    pf = _probe_array(self.f)
-    if pf.size:
-        blocks.append(np.broadcast_to(pf[None, :], (xs.size, pf.size)))
-    pg = _probe_array(self.g)
-    if pg.size:
-        blocks.append(col - np.concatenate([pg, np.nextafter(pg, -INF)])[None, :])
-    ss = np.clip(np.concatenate(blocks, axis=1), 0.0, col)
-    fv = self.f.eval_many(ss.ravel()).reshape(ss.shape)
-    gv = self.g.eval_many((col - ss).ravel()).reshape(ss.shape)
-    op = self.tnorm.fn_np if self.maximize else self.tnorm.conorm.fn_np
-    vals = op(fv, gv)
-    out = vals.max(axis=1) if self.maximize else vals.min(axis=1)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _lazy_reference_in_rows(self, xs):
-    # rows are independent in the reference, so feeding it 256 at a time
-    # keeps its values and bounds its memory at depth 3
-    parts = [_lazy_reference_kernel(self, xs[i:i + 256]) for i in range(0, xs.size, 256)]
-    return np.concatenate(parts)
-
-
-def _on_reference(monkeypatch, run):
-    # the reference replaces the kernel at every nesting level
-    with monkeypatch.context() as m:
-        m.setattr(LazyConv, "_eval_pos_many", _lazy_reference_in_rows)
-        return run()
-
-
-_GRID = Grid((0.3, 0.5, 1.0, 2.5), (0.1, 0.3, 0.9, 0.95))
-_LAZY_PAIRS = {
-    "ratio-ratio": (Ratio(0.7), Ratio(1.3)),
-    "ratio-plateau": (Ratio(0.7), Plateau(0.6)),
-    "grid-ratio": (_GRID, Ratio(1.3)),
-    "step-ratio": (eps(1.0), Ratio(1.3)),
-    "plateau-grid": (Plateau(0.6), _GRID),
-}
-# more rows than three blocks hold for any operands, so the seams are crossed
-_LONG = np.geomspace(1e-3, 64.0, 3 * (_BLOCK // _FRACTIONS.size) + 100)
-
-
-def _cut_xs(f, g):
-    """Abscissae around the kernel's cut, shuffled with some repeated: a
-    tiny one below every probe point, each left (pf) and right (pg) probe
-    entry of the kernel with its neighbours one ulp either side, and two
-    above every probe point."""
-    pg = _probe_array(g)
-    entries = np.concatenate([_probe_array(f), pg, np.nextafter(pg, -INF)])
-    cut = np.concatenate([np.nextafter(entries, -INF), entries, np.nextafter(entries, INF)])
-    head = np.concatenate([[1e-300], cut[cut > 0.0], [2.0 * entries.max(), 1e6]])
-    rng = np.random.default_rng(0)
-    return rng.permutation(np.concatenate([head, head[::5]]))
-
-
-def _decade_xs(f, g):
-    """One block of rows per decade from 1e-3 to 100, so that the block
-    seams fall between decades."""
-    rows = _BLOCK // (_FRACTIONS.size + _probe_array(f).size + 2 * _probe_array(g).size)
-    return np.concatenate([np.geomspace(10.0**k, 10.0**(k + 1), rows, endpoint=False)
-                           for k in range(-3, 2)])
-
-
-@pytest.mark.parametrize("maximize", [True, False], ids=["sup", "inf"])
-@pytest.mark.parametrize("name", ["min", "prod", "lukasiewicz", "t2"])
-def test_lazy_kernel_equals_reference_kernel(monkeypatch, name, maximize):
-    t = get_tnorm(name)
-    for label, (f, g) in _LAZY_PAIRS.items():
-        d1 = LazyConv(t, f, g, maximize)
-        xs = _cut_xs(f, g)
-        cases = {
-            "depth 1": (d1, np.concatenate([xs, _LONG])),
-            "decade seams": (d1, _decade_xs(f, g)),
-            "depth 2 left": (LazyConv(t, d1, Ratio(2.1), maximize), xs[:24]),
-            "depth 2 right": (LazyConv(t, Ratio(2.1), d1, maximize), xs[:24]),
-            "depth 3 left": (LazyConv(t, LazyConv(t, d1, Ratio(2.1), maximize), Ratio(0.4), maximize),
-                             np.array([0.9, 3.7])),
-        }
-        for depth, (r, pts) in cases.items():
-            got = r.eval_many(pts)
-            want = _on_reference(monkeypatch, lambda: r.eval_many(pts))
-            assert np.array_equal(got, want), (label, depth)
-        # one abscissa per call tops its own block, so the cut falls at it
-        one_by_one = lambda: [d1.eval(float(x)) for x in xs]
-        assert one_by_one() == _on_reference(monkeypatch, one_by_one), label
-        got = d1.materialize()
-        assert got.vs == _on_reference(monkeypatch, d1.materialize).vs, label
-        for other in (Ratio(2.0), Plateau(0.5)):
-            for a, b in ((d1, other), (other, d1)):
-                assert compare_leq(a, b) == _on_reference(monkeypatch, lambda: compare_leq(a, b)), label
-
-
-def test_lazy_kernel_reads_right_operand_only_below_the_cut(monkeypatch):
-    # G is read only at splits that are not endpoint duplicates.  Each
-    # operand has 25 probe points, so a block holds 16,384 // (17 + 50 +
-    # 100) = 98 rows, and a row reads the 17 fractions and the kg right
-    # and kf left probe columns at or below the block's largest x: 81,684
-    # points, where every column of every row is 1,024 * 167 = 171,008
-    # and the 392-row blocks of a 2^16 block size cut at 91,092.  Built
-    # directly, so the pair takes the search and not its closed form
-    seen = []
-    g_eval = Ratio._eval_pos_many
-
-    def counted(self, xs):
-        if self.beta == 1.3:
-            seen.append(xs.size)
-        return g_eval(self, xs)
-
-    monkeypatch.setattr(Ratio, "_eval_pos_many", counted)
-    LazyConv(get_tnorm("min"), Ratio(0.7), Ratio(1.3), True).eval_many(np.geomspace(1e-3, 64.0, 1024))
-    assert sum(seen) == 81684
 
 
 # ------------------------------------------------------------ closed forms
@@ -567,9 +446,10 @@ def test_closed_forms_match_a_dense_split_oracle(name, maximize):
     n = 20_001
     for f, g in _closed_pairs():
         r = (sup_conv if maximize else inf_conv)(t, f, g)
-        assert isinstance(r, LazyConv) and r.closed is not None
+        assert isinstance(r, LazyConv)
         if isinstance(f, Ratio) and isinstance(g, Ratio):
-            assert isinstance(r.closed, Ratio) == ((name, maximize) in _RATIO_FORMS)
+            form = Ratio if (name, maximize) in _RATIO_FORMS else _Chain
+            assert isinstance(r.closed, form)
         else:
             assert isinstance(r.closed, _StepWalk)
         scale = max(_scale(f), _scale(g), 1.0)
@@ -583,14 +463,15 @@ def test_closed_forms_match_a_dense_split_oracle(name, maximize):
 
 
 def test_step_walk_reads_each_abscissa_alone():
-    # the walk over 64 jumps reads 256 abscissae per block, so _LONG
-    # crosses a dozen seams; each value is the walk at that x alone
+    # the walk over 64 jumps reads 256 abscissae per block, so 2,989
+    # points cross a dozen seams; each value is the walk at that x alone
     g = _sample_curve(np.random.default_rng(4), 64)
+    xs = np.geomspace(1e-3, 64.0, 2989)
     for maximize in (True, False):
         r = _conv_exact(get_tnorm("prod"), g, Ratio(1.3), maximize)
-        got = r.eval_many(_LONG)
-        assert got.tolist()[::97] == [r.eval(float(x)) for x in _LONG[::97]]
-        assert np.array_equal(got[::-1], r.eval_many(_LONG[::-1]))
+        got = r.eval_many(xs)
+        assert got.tolist()[::97] == [r.eval(float(x)) for x in xs[::97]]
+        assert np.array_equal(got[::-1], r.eval_many(xs[::-1]))
 
 
 # The walk before the cut, kept as the reference: every jump at every
@@ -635,14 +516,11 @@ def test_cut_walk_equals_the_full_walk_bit_for_bit(name):
         Step((0.0, 1.0, 2.0), (0.0, 0.0, 0.5, 0.5)),  # a level held across jumps
         Plateau(0.0), Plateau(1.0), EPS_INF]
     prod = get_tnorm("prod")
-    gs = [Ratio(1.3), Plateau(0.6), _sample_curve(rng, 30), eps(0.75), sup_conv(prod, Ratio(0.7), Ratio(1.3))]
-    searched = LazyConv(get_tnorm("min"), Ratio(0.7), Ratio(1.3), True)
+    chain = sup_conv(prod, sup_conv(prod, Ratio(0.7), Ratio(1.3)), Ratio(2.1))
+    gs = [Ratio(1.3), Plateau(0.6), _sample_curve(rng, 30), eps(0.75), sup_conv(prod, Ratio(0.7), Ratio(1.3)), chain]
     for f in fs:
         shuffled, ascending, descending = _walk_xs(f, rng)
-        cases = [(g, xs) for g in gs for xs in (shuffled, ascending, descending)]
-        if len(f.breakpoints) <= 3:  # the search reads ~170 points per value
-            cases.append((searched, shuffled))
-        for g, xs in cases:
+        for g, xs in [(g, xs) for g in gs for xs in (shuffled, ascending, descending)]:
             for maximize in (True, False):
                 walk = _StepWalk(t, f, g, maximize)
                 got, want = walk._eval_pos_many(xs), _full_walk(walk, xs)
@@ -670,33 +548,26 @@ def test_cut_walk_reads_only_the_jumps_below_each_block(monkeypatch):
         assert sum(seen) == 28416
 
 
-def test_closed_forms_reach_the_optima_the_search_misses():
-    # the search can only miss the optimum, so it never beats a closed
-    # form; under min it falls short by about 1e-2 (sup) and 1.4e-2 (inf)
-    x = np.geomspace(0.05, 20.0, 64)
-    for name in _TNORMS:
-        t = get_tnorm(name)
-        for maximize, sign in ((True, 1.0), (False, -1.0)):
-            closed = _conv_exact(t, Ratio(0.7), Ratio(1.3), maximize).eval_many(x)
-            searched = LazyConv(t, Ratio(0.7), Ratio(1.3), maximize).eval_many(x)
-            short = sign * (closed - searched)
-            assert short.min() >= -1e-15, (name, maximize)
-            if name == "min":
-                assert short.max() > 5e-3
-
-
 def test_closed_forms_raise_no_warning_at_extreme_abscissae():
-    # the factored sup:prod form keeps sqrt(a (x + b)) finite; pytest
+    # the factored sup:prod form keeps sqrt(a (x + b)) finite, and a
+    # chain's splits are found in units of its largest scale; pytest
     # turns a RuntimeWarning into an error
     xs = np.geomspace(1e-300, 1e300, 121)
     for a, b in ((0.7, 1.3), (1e-3, 1e3), (1e154, 3e153)):
         for name in _TNORMS:
             t = get_tnorm(name)
             for conv in (sup_conv, inf_conv):
-                for f, g in ((Ratio(a), Ratio(b)), (Plateau(0.6), Ratio(b))):
+                pair = conv(t, Ratio(a), Ratio(b))
+                for f, g in ((Ratio(a), Ratio(b)), (Plateau(0.6), Ratio(b)), (pair, Ratio(a * b / (a + b))),
+                             (pair, pair), (conv(t, pair, Ratio(a)), Ratio(b))):
                     vals = conv(t, f, g).eval_many(xs)
                     assert np.all((vals >= 0.0) & (vals <= 1.0))
                     assert np.all(np.diff(vals) >= -1e-15)
+    # x over the largest scale overflows past 1e600 and underflows below 1e-600
+    for scales in ((1e-300, 1e-300, 1e-300), (1e-300, 1.0, 1e300)):
+        for name in ("prod", "lukasiewicz"):
+            vals = _Chain(get_tnorm(name), scales).eval_many(xs)
+            assert np.all((vals >= 0.0) & (vals <= 1.0)) and np.all(np.diff(vals) >= -1e-15)
 
 
 def test_min_and_t2_chains_and_inf_chains_stay_ratio():
@@ -717,15 +588,94 @@ def test_min_and_t2_chains_and_inf_chains_stay_ratio():
         assert inf_conv(t, rc, inf_conv(t, ra, rb)).closed == Ratio(c)
 
 
-def test_sup_prod_chain_nests_the_search_over_a_closed_inner_operand():
-    t = get_tnorm("prod")
-    inner = sup_conv(t, Ratio(0.7), Ratio(1.3))
-    assert isinstance(inner.closed, _SplitOptimum)
-    r = sup_conv(t, inner, Ratio(2.1))
-    assert r.closed is None
-    # the sup path never overestimates, and prod <= min adds the scales
+def test_same_kind_ratio_chains_flatten_into_one_tuple_of_scales():
+    # sup:prod and sup:Lukasiewicz chains of any shape read one optimum
+    # over all their scales, in the order of the operands
+    ra, rb, rc, rd = Ratio(0.7), Ratio(1.3), Ratio(2.1), Ratio(0.4)
+    for name in ("prod", "lukasiewicz"):
+        t = get_tnorm(name)
+        ab, cd = sup_conv(t, ra, rb), sup_conv(t, rc, rd)
+        assert ab.closed == _Chain(t, (0.7, 1.3))
+        assert sup_conv(t, ab, rc).closed == _Chain(t, (0.7, 1.3, 2.1))
+        assert sup_conv(t, rc, ab).closed == _Chain(t, (2.1, 0.7, 1.3))
+        assert sup_conv(t, ab, cd).closed == _Chain(t, (0.7, 1.3, 2.1, 0.4))
+    # prod <= min adds the scales
+    r = sup_conv(get_tnorm("prod"), sup_conv(get_tnorm("prod"), ra, rb), rc)
     xs = np.geomspace(0.05, 20.0, 40)
     assert np.all(r.eval_many(xs) <= Ratio(4.1).eval_many(xs) + 1e-15)
+
+
+def _chain_oracle(t, scales, x, n):
+    """A chain of 3 or 4 Ratios at x over an n x n grid of the splits
+    (s_1, s_2), the rest going to the third Ratio, or to the pair closed
+    form of the last two: the largest T at the grid points, and a bound
+    from above read at the far corner of each cell, as in _far_bound."""
+    f1, f2 = Ratio(scales[0]), Ratio(scales[1])
+    rest = Ratio(scales[2]) if len(scales) == 3 else sup_conv(t, Ratio(scales[2]), Ratio(scales[3]))
+    ss = np.linspace(0.0, x, n)
+    v1, v2 = f1.eval_many(ss), f2.eval_many(ss)
+    r = rest.eval_many(np.maximum(x - ss[:, None] - ss[None, :], 0.0))
+    near = t.fn_np(t.fn_np(v1[:, None], v2[None, :]), r)
+    far = t.fn_np(t.fn_np(v1[1:, None], v2[None, 1:]), r[:-1, :-1])
+    return float(near.max()), float(far.max())
+
+
+@pytest.mark.parametrize("name", ["prod", "lukasiewicz"])
+def test_chains_of_three_and_four_match_a_dense_split_oracle(name):
+    # scale ratios from 1e-3 to 1e3: the oracle reads the definition at
+    # 801 x 801 splits; it never beats a chain by more than 4 ulps, and
+    # the chain stays below the bound from the cells' far corners
+    t = get_tnorm(name)
+    ulps = 4.0 * np.spacing(1.0)
+    rng = np.random.default_rng(19)
+    for ratio in (1e-3, 0.1, 1.0, 30.0, 1e3):
+        for n in (3, 4):
+            base = float(10.0 ** rng.uniform(-1.0, 1.0))
+            scales = tuple(base * ratio ** (k / (n - 1)) * rng.uniform(0.8, 1.25) for k in range(n))
+            scales = tuple(rng.permutation(scales).tolist())
+            r = sup_conv(t, Ratio(scales[0]), Ratio(scales[1]))
+            for a in scales[2:]:
+                r = sup_conv(t, r, Ratio(a))
+            assert r.closed == _Chain(t, scales)
+            for x in max(scales) * np.geomspace(1e-3, 1e3, 9):
+                near, far = _chain_oracle(t, scales, float(x), 801)
+                got = r.eval(float(x))
+                assert near <= got + ulps <= far + 2.0 * ulps, (scales, x)
+
+
+def test_a_walk_convolved_again_reassociates_over_a_chain():
+    # (Plateau (+) Ratio) (+) Ratio is Plateau (+) (Ratio (+) Ratio): the
+    # walk's one jump at 0 reads gamma T G(x) of the pair's closed form
+    t = get_tnorm("prod")
+    r = sup_conv(t, sup_conv(t, Plateau(0.6), Ratio(0.7)), Ratio(1.3))
+    assert isinstance(r.closed, _StepWalk) and r.closed.f == Plateau(0.6)
+    assert r.closed.g.closed == _Chain(t, (0.7, 1.3))
+    xs = np.geomspace(1e-3, 64.0, 50)
+    assert np.array_equal(r.eval_many(xs), 0.6 * sup_conv(t, Ratio(0.7), Ratio(1.3)).eval_many(xs))
+
+
+#: a chain under another kind or t-norm, at x = 0.05, 8, 63 and 1000:
+#: the values of the candidate search that preceded the sampled walk
+_MIXED = {
+    ("inf", "prod"): (0.0003011250471071513, 0.5385717708264671, 0.9135840064242742, 0.9941971996151034),
+    ("sup", "min"): (0.00026666047739463175, 0.43562717198338136, 0.8677685950413223, 0.9908483682607891),
+}
+
+
+@pytest.mark.parametrize("kind, name", list(_MIXED))
+def test_a_mixed_chain_walks_a_sampled_operand(kind, name):
+    # the operand that is neither a Step nor a Ratio is read onto a Grid
+    # below it, so the walk over that Grid is a lower bound; it stays
+    # within 0.01 of the search, and under min below the sum of scales
+    prod = get_tnorm("prod")
+    inner = sup_conv(prod, Ratio(1.0), Ratio(2.0))
+    r = _conv_exact(get_tnorm(name), inner, Ratio(3.0), kind == "sup")
+    assert isinstance(r.closed, _StepWalk) and isinstance(r.closed.f, Grid) and r.closed.g == Ratio(3.0)
+    xs = np.array([0.05, 8.0, 63.0, 1000.0])
+    got = r.eval_many(xs)
+    assert np.all(np.abs(got - _MIXED[kind, name]) < 0.01)
+    if kind == "sup":
+        assert np.all(got <= Ratio(6.0).eval_many(xs))
 
 
 def test_scale_arg_keeps_the_closed_form():
@@ -734,21 +684,21 @@ def test_scale_arg_keeps_the_closed_form():
         for conv in (sup_conv, inf_conv):
             r = conv(t, Ratio(0.7), Ratio(1.3))
             scaled = r.scale_arg(2.0)
-            assert scaled.closed is not None
+            assert type(scaled.closed) is type(r.closed)
             for x in (0.5, 1.0, 4.0):
                 assert scaled.eval(x) == pytest.approx(r.eval(x / 2.0), abs=1e-15)
     # a scale that overflows leaves an operand eps(inf), a Step: its walk reads 0
     r = sup_conv(get_tnorm("min"), Ratio(1e154), Ratio(1.0)).scale_arg(1e300)
     assert r.f == EPS_INF and isinstance(r.closed, _StepWalk)
     assert np.all(r.eval_many(np.geomspace(1e-3, 1e300, 25)) == 0.0)
-    # a directly built LazyConv keeps the search after scaling
-    assert LazyConv(get_tnorm("min"), Ratio(0.7), Ratio(1.3), True).scale_arg(2.0).closed is None
 
 
-def test_a_ratio_scale_that_overflows_keeps_the_search():
-    r = sup_conv(get_tnorm("min"), Ratio(1e308), Ratio(1e308))
-    assert isinstance(r, LazyConv) and r.closed is None
-    assert sup_conv(get_tnorm("t2"), Ratio(1e308), Ratio(1e308)).closed is None
+def test_a_ratio_scale_that_overflows_takes_its_limit_eps_inf():
+    # as Ratio.scale_arg does: x / (x + beta) tends to 0 as beta grows
+    for name, maximize in (("min", True), ("t2", True), ("min", False)):
+        r = _conv_exact(get_tnorm(name), Ratio(1e308), Ratio(1e308), maximize)
+        assert isinstance(r, LazyConv) and r.closed == EPS_INF
+        assert np.all(r.eval_many(np.geomspace(1e-3, 1e308, 25)) == 0.0)
 
 
 _DEPTH3_UNDER_512MB = """
