@@ -30,7 +30,9 @@ print("everything <= unit step at 0:",
       all(compare_leq(f, EPS0).holds for f in (e1, half, curve, sampled, EPS_INF)))
 
 c = compare_leq(eps(1.0), eps(2.0))
-print("violation witness for step(1) <= step(2): x =", c.witness)
+# the first float where the gap is attained: the one just past the jump at 1
+print(f"violation witness for step(1) <= step(2): x = {c.witness!r}"
+      f" (the first float above 1), gap = {c.gap}")
 
 # -- weak convergence --------------------------------------------------
 

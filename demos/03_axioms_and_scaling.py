@@ -22,7 +22,7 @@ for family in ("E19", "E9", "E12"):
         print(f"  {family}: holds")
     else:
         w = rep.witness
-        print(f"  {family}: violated at alpha={w.alpha:g}, p={w.p}, x={w.x:.4f}")
+        print(f"  {family}: violated at alpha={w.alpha:g}, p={w.p}, x={w.x:.6g}")
 
 # -- a negative control ---------------------------------------------------
 

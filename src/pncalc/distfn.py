@@ -11,12 +11,15 @@ partially ordered pointwise.  Four representations are provided:
 * ``Grid``    -- a sampled curve, read from below: the (approximate)
   Step that jumps to each sample's value at its abscissa.
 
-The order test ``compare_leq`` is exact when both operands are Steps (a
-Plateau or a Grid among them): it walks the cells of their merged jumps,
-on each of which both are constant.  Ratio(a) <= Ratio(b) holds exactly
+The order test ``compare_leq`` is exact when a Step (a Plateau or a Grid
+among them) is on either side: it reads both operands once per jump of
+the Step side, where the other side is least against it.  The witness
+of a violation is the first float where the gap is attained when F is a
+Step, and otherwise the end of G's first cell where it is attained (the
+largest float on G's last cell).  Ratio(a) <= Ratio(b) holds exactly
 when a >= b, and otherwise fails by its closed-form largest gap.  Any
-other pair with a Ratio or a lazy convolution is read at a merged probe
-set, so a violation between probe points can go unseen.
+other pair with a lazy convolution is read at a merged probe set, so a
+violation between probe points can go unseen.
 
 All values are immutable after construction and every operation is a
 pure function, so concurrent use of shared values is safe.
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 INF = math.inf
+_LARGEST = math.nextafter(INF, 0.0)
 
 #: Plateau tolerance for membership in D+ (no mass escaping to infinity).
 DPLUS_TOL = 1e-9
@@ -54,20 +58,22 @@ MAX_GRID = 16384
 #: first grid sample as a fraction of the grid's x_max
 X_MIN_FRAC = 1e-6
 
-#: size from which the exact Step kernels (``_compare_steps``,
+#: size from which the exact Step kernels (``_compare_step_side``,
 #: ``_min_steps`` and ``triangle._conv_steps``) sweep numpy arrays instead
-#: of looping: the pairs of jumps a convolution sums, or the jumps a
-#: minimum or an order check merges.  An array sweep pays 10-35 us of
-#: numpy calls at any size; a loop about 0.7-1 us per pair, 2 us per jump
-#: of a minimum and 0.4 us per order-check cell.  The crossovers measured
-#: at 20-32 pairs, 16-20 jumps and 32-40 cells, and the unit steps of the
-#: axiom batteries and the suites stay below the switch.  Loop / array us
-#: at n jumps per operand (2-CPU shared x86 host, best of 9):
+#: of looping: the pairs of jumps a convolution sums, the jumps a minimum
+#: merges, or the jumps of an order check's Step side.  An array sweep pays
+#: 10-35 us of numpy calls at any size; a loop about 0.7-1 us per pair,
+#: 2 us per jump of a minimum and 0.4 us per order-check read against a
+#: Step or a Ratio.  The crossovers measured at 20-32 pairs, 16-20 jumps
+#: and 24-32 reads, and the unit steps of the axiom batteries and the
+#: suites stay below the switch (a lazy operand costs a numpy call per
+#: read, 8 us, but meets Steps of one or two jumps there).  Loop / array
+#: us at n jumps per operand (2-CPU shared x86 host, best of 9):
 #:
 #:     n    sup:prod convolution   minimum of two   order check
-#:     8          63 / 28              25 / 23          5 / 10
-#:     32        767 / 76             106 / 36         22 / 13
-#:     64       2870 / 291            311 / 36         47 / 20
+#:     8          63 / 28              25 / 23          3 / 10
+#:     32        767 / 76             106 / 36         12 / 10
+#:     64       2870 / 291            311 / 36         25 / 11
 _ARRAY_MIN = 32
 
 
@@ -143,7 +149,8 @@ class DistFn:
         raise NotImplementedError
 
     def probe_xs(self) -> tuple[float, ...]:
-        """Abscissae that resolve this function's shape (used by comparisons)."""
+        """Abscissae that resolve this function's shape, read by the
+        sampled order check, the sampled minimum and ``levy_dist``."""
         raise NotImplementedError
 
     @property
@@ -441,7 +448,10 @@ def from_spec(text: str) -> DistFn:
 @dataclass(frozen=True)
 class Comparison:
     """Outcome of a pointwise <= test: either it holds, or a witness x
-    where the left side exceeds the right by ``gap``."""
+    where the left side exceeds the right by ``gap``.  With a Step F, x
+    is the first float where the gap is attained; with a Step G only, it
+    is the end of the first cell of G where it is attained: G's jump, or
+    the largest float on G's last cell."""
 
     holds: bool
     witness: float | None
@@ -463,7 +473,7 @@ def merged_probe_xs(f: DistFn, g: DistFn | None = None, extra=()) -> np.ndarray:
         mids = (base[:-1] + base[1:]) / 2.0
     tail = float(base[-1])
     far = 2.0 * tail + 2.0
-    if far == INF:  # past a jump above about 9e307, as in _compare_steps
+    if far == INF:  # past a jump above about 9e307
         far = math.nextafter(tail, INF)
     return np.unique(np.concatenate([base, mids, (tail + 1.0, far)]))
 
@@ -471,18 +481,20 @@ def merged_probe_xs(f: DistFn, g: DistFn | None = None, extra=()) -> np.ndarray:
 def compare_leq(f: DistFn, g: DistFn, tol: float | None = None) -> Comparison:
     """Pointwise order test F <= G + tol.
 
-    Two Steps (a Plateau or a Grid among them) are compared exactly, one
-    walk over the cells of their merged jumps, and Ratio(a) <= Ratio(b)
+    A pair with a Step on either side (a Plateau or a Grid among them) is
+    decided exactly by ``_compare_step_side``, and Ratio(a) <= Ratio(b)
     holds by a >= b; for a < b the largest gap, (sqrt b - sqrt a)/(sqrt b
-    + sqrt a), is read at its abscissa sqrt(ab).  Any other pair with a
-    Ratio or lazy convolution on either side is sampled over the merged
-    probe set.  Default tolerance is 0 for exact representations and
-    ``GRID_TOL`` when a sampled operand is involved.
+    + sqrt a), is read at its abscissa sqrt(ab).  Any other pair is
+    sampled over the merged probe set.  A lazy result whose form is a
+    Ratio or a Step is read as that form.  Default tolerance is 0 for
+    exact representations and ``GRID_TOL`` when a sampled or lazy operand
+    is passed.
     """
     if tol is None:
         tol = GRID_TOL if (f.is_approximate or g.is_approximate) else 0.0
-    if isinstance(f, Step) and isinstance(g, Step):
-        return _compare_steps(f, g, tol)
+    f, g = _exact_form(f), _exact_form(g)
+    if isinstance(f, Step) or isinstance(g, Step):
+        return _compare_step_side(f, g, tol)
     if isinstance(f, Ratio) and isinstance(g, Ratio):
         if f.beta >= g.beta and tol >= 0.0:
             # what the sampled path finds: every diff <= 0, and 0 at x = 0
@@ -497,6 +509,13 @@ def compare_leq(f: DistFn, g: DistFn, tol: float | None = None) -> Comparison:
     return _compare_sampled(f, g, tol)
 
 
+def _exact_form(f: DistFn) -> DistFn:
+    """F, or the Ratio or Step that a lazy result F is read as: the
+    ``closed`` form of a ``triangle.LazyConv``."""
+    closed = getattr(f, "closed", f)
+    return closed if isinstance(closed, (Ratio, Step)) else f
+
+
 def _compare_sampled(f: DistFn, g: DistFn, tol: float) -> Comparison:
     """The order test read at the merged probe abscissae."""
     xs = merged_probe_xs(f, g)
@@ -508,70 +527,38 @@ def _compare_sampled(f: DistFn, g: DistFn, tol: float) -> Comparison:
     return Comparison(False, float(xs[k]), gap)
 
 
-def _compare_steps(f: Step, g: Step, tol: float) -> Comparison:
-    """The order test on two steps, exact: both are constant on each cell
-    (lo, u] of their merged jumps, so one read per cell decides it.
+def _compare_step_side(f: DistFn, g: DistFn, tol: float) -> Comparison:
+    """The order test with a Step on either side, exact: both operands are
+    read once per cell of the Step side, at the float where F - G is
+    largest on it, as both are nondecreasing and left-continuous.
 
-    A cell is read where the probe set reads it first, at its midpoint or
-    at u when the midpoint rounds onto lo or overflows, and the last cell
-    at lo + 1, at 2 lo + 2, or where both round onto lo or overflow, at
-    the next float above lo (no finite x is left past the largest float).
-    So the first largest gap, its witness and the floor of 0 from the read
-    at x = 0 are those of the sampled path.  From ``_ARRAY_MIN`` jumps on,
-    the cells are read in one array sweep: the distinct values of {0} and
-    the jumps, one ``searchsorted`` per side and the first ``argmax``;
-    below it, a loop with two bisections per cell.
+    When F is a Step, each cell (b, b'] of F, where F is constant, is read
+    at the next float above b: a Step G is least there, at G(b+), and a
+    continuous G within one ulp of its rise.  A jump at the largest float
+    has an empty cell: it reads at itself, on the cell below, no more than
+    that cell's own read.  When only G is a Step, F is largest on G's cell
+    (c', c] at its jump c, where G still has its level before c, and on
+    the last cell (c, inf) at the largest float, against G's plateau;
+    past a jump at the largest float that read repeats the jump's.  The
+    gap is the first largest read, floored by the 0 that both read at
+    x = 0, and its abscissa is the witness, so F(witness) - G(witness) is
+    the gap.  Below ``_ARRAY_MIN`` jumps the reads loop; from there on
+    they are one array read per operand.
     """
-    walk = _compare_array if len(f.breakpoints) + len(g.breakpoints) >= _ARRAY_MIN else _compare_loop
-    return walk(f, g, tol)
-
-
-def _compare_loop(f: Step, g: Step, tol: float) -> Comparison:
-    fb, fl, gb, gl = f.breakpoints, f.levels, g.breakpoints, g.levels
-    gap, witness = 0.0, 0.0
-    lo = 0.0
-    # 0.0 goes in first, so a jump at -0.0 merges into it
-    for u in sorted({0.0, *fb, *gb})[1:]:
-        d = fl[bisect.bisect_left(fb, u)] - gl[bisect.bisect_left(gb, u)]
-        if d > gap:
-            mid = (lo + u) / 2.0
-            gap, witness = d, (mid if lo < mid < INF else u)
-        lo = u
-    return _last_cell(fl[-1] - gl[-1], lo, gap, witness, tol)
-
-
-def _compare_array(f: Step, g: Step, tol: float) -> Comparison:
-    (fb, fl), (gb, gl) = f.arrays, g.arrays
-    cells = np.concatenate(((0.0,), fb, gb))
-    cells.sort()
-    # the distinct jumps above 0 (the switch leaves some), each the u of
-    # its cell (lo, u]: a sort and a mask, as np.unique's fixed cost
-    # would lift the crossover
-    u = cells[1:][cells[1:] != cells[:-1]]
-    gap, witness = 0.0, 0.0
-    d = fl[np.searchsorted(fb, u)] - gl[np.searchsorted(gb, u)]
-    k = int(np.argmax(d))
-    if d[k] > 0.0:
-        lo, hi = (float(u[k - 1]) if k else 0.0), float(u[k])
-        mid = (lo + hi) / 2.0
-        gap, witness = float(d[k]), (mid if lo < mid < INF else hi)
-    return _last_cell(float(fl[-1] - gl[-1]), float(u[-1]), gap, witness, tol)
-
-
-def _last_cell(d: float, lo: float, gap: float, witness: float, tol: float) -> Comparison:
-    """The verdict once the last cell (lo, inf), where F and G sit at
-    their plateaus and differ by d, is read past every finite cell."""
-    if d > gap:
-        x = lo + 1.0
-        if x == lo:
-            x = 2.0 * lo + 2.0
-        if x == INF:
-            x = math.nextafter(lo, INF)
-        if x < INF:  # past a jump at the largest float the cell is empty
-            gap, witness = d, x
-    if gap <= tol:
-        return Comparison(True, None, float(gap))
-    return Comparison(False, float(witness), float(gap))
+    s = f if isinstance(f, Step) else g
+    if len(s.breakpoints) < _ARRAY_MIN:
+        xs = [math.nextafter(b, _LARGEST) for b in s.breakpoints] if s is f else [*s.breakpoints, _LARGEST]
+        gap, witness = 0.0, 0.0
+        for x in xs:
+            d = f.eval(x) - g.eval(x)
+            if d > gap:
+                gap, witness = d, x
+    else:
+        xs = np.nextafter(s.arrays[0], _LARGEST) if s is f else np.append(s.arrays[0], _LARGEST)
+        d = f.eval_many(xs) - g.eval_many(xs)
+        k = int(np.argmax(d))
+        gap, witness = (float(d[k]), float(xs[k])) if d[k] > 0.0 else (0.0, 0.0)
+    return Comparison(True, None, gap) if gap <= tol else Comparison(False, witness, gap)
 
 
 def check_tol(tol: float) -> None:

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distfn import (_ARRAY_MIN, DEFAULT_GRID, EPS0, EPS_INF, INF, DistFn, Grid, GridSpec, Ratio, Step,
-                     _rising_step, _sample_min, compare_leq, distfn_equal, is_eps0, make_step, max_tf)
+                     _exact_form, _rising_step, _sample_min, compare_leq, distfn_equal, is_eps0, make_step, max_tf)
 from .tnorms import LawCheck, TNorm
 
 #: values per block of a walk, its jumps times its columns, so that each
@@ -156,19 +156,28 @@ class _Chain(DistFn):
 
     def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
         a = self.scales
-        if self.tnorm.name == "lukasiewicz":
-            # R^2 - sum a_i as 2 sum_{i<j} sqrt(a_i) sqrt(a_j), with no cancellation
-            cross = run = 0.0
-            den = xs
-            for b in a:
-                cross += 2.0 * math.sqrt(b) * run
-                run += math.sqrt(b)
-                den = den + b
-            return np.maximum(0.0, (xs - cross) / den)
-        if len(a) == 2:
+        if self.tnorm.name == "lukasiewicz" or len(a) == 2:
+            # the form reads x and the a_i only through their ratios, and
+            # dividing all of them by 2^64 is exact (while they stay normal)
+            # and commutes with sqrt: where x + sum a_i or (sum sqrt a_i)^2
+            # could overflow, it is read there
+            r = [math.sqrt(b) for b in a]
+            big = xs > 2.0**1000 if sum(r) < 2.0**500 else np.ones(xs.shape, bool)
+            if big.any():
+                h = np.where(big, 2.0**-32, 1.0)
+                xs, a, r = xs * h * h, [b * h * h for b in a], [v * h for v in r]
+            if self.tnorm.name == "lukasiewicz":
+                # R^2 - sum a_i as 2 sum_{i<j} sqrt(a_i) sqrt(a_j), with no cancellation
+                cross = run = 0.0
+                den = xs
+                for b, v in zip(a, r):
+                    cross += 2.0 * v * run
+                    run += v
+                    den = den + b
+                return np.maximum(0.0, (xs - cross) / den)
             # the factors keep sqrt(a (x + b)) from overflowing at large x
-            wa = math.sqrt(a[0]) * np.sqrt(xs + a[1])
-            wb = math.sqrt(a[1]) * np.sqrt(xs + a[0])
+            wa = r[0] * np.sqrt(xs + a[1])
+            wb = r[1] * np.sqrt(xs + a[0])
             s, t = xs * (wa / (wa + wb)), xs * (wb / (wa + wb))
             return s / (s + a[0]) * (t / (t + a[1]))
         # in units of the largest scale: past x = 2^1000 every factor
@@ -239,11 +248,7 @@ def _scales(t: TNorm, f: DistFn) -> tuple[float, ...] | None:
 
 def _closed_form(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn:
     """The convolution of F and G from the module table."""
-    # a lazy result whose form is a Ratio or a Step reads as it
-    if isinstance(f, LazyConv) and isinstance(f.closed, (Ratio, Step)):
-        f = f.closed
-    if isinstance(g, LazyConv) and isinstance(g.closed, (Ratio, Step)):
-        g = g.closed
+    f, g = _exact_form(f), _exact_form(g)
     # walk the Step side, the one with fewer jumps when both are Steps
     if isinstance(g, Step) and not (isinstance(f, Step) and len(f.breakpoints) <= len(g.breakpoints)):
         f, g = g, f

@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pncalc import distfn
-from pncalc.cli import render_distfn
+from pncalc.boundedness import convergent_set_bound
+from pncalc.cli import main, render_distfn
+from pncalc.pnspace import FAMILIES, axiom_suite, make_space
 from pncalc.tnorms import get_tnorm
+from pncalc.topology import SequenceSpec
 from pncalc.triangle import LazyConv
 from pncalc.distfn import (
     EPS0,
@@ -33,6 +36,7 @@ from pncalc.distfn import (
 )
 
 INF = math.inf
+_LARGEST = sys.float_info.max
 
 
 # ------------------------------------------------------------ construction
@@ -349,32 +353,69 @@ def _random_step_or_grid(rng: random.Random):
     return f
 
 
+def _rule_witness(f, g, gap):
+    """Where the order-check rule reads the gap first: the float above a
+    jump of a Step F, else a jump of the Step G or the largest float."""
+    if isinstance(f, Step):
+        reads = [(math.nextafter(b, INF), v) for b, v in zip(f.breakpoints, f.levels[1:])]
+        return next(x for x, v in reads if v - g.eval(x) == gap)
+    reads = [*g.breakpoints, _LARGEST]
+    return next(x for x in reads if f.eval(x) - g.eval(x) == gap)
+
+
+def _both_reads(f, g, tol):
+    """The check with every Step side read by the loop, then by arrays
+    (but a side with no jump, which the switch never reads by arrays)."""
+    switch = distfn._ARRAY_MIN
+    try:
+        distfn._ARRAY_MIN = INF
+        loop = distfn._compare_step_side(f, g, tol)
+        distfn._ARRAY_MIN = 1
+        return loop, distfn._compare_step_side(f, g, tol)
+    finally:
+        distfn._ARRAY_MIN = switch
+
+
+def _check_step_pair(f, g, tol):
+    """Verdict and gap bit for bit the probe set's, the witness the rule's
+    and attaining the gap, and the loop and the arrays alike."""
+    got = compare_leq(f, g, tol)
+    want = distfn._compare_sampled(f, g, tol)
+    assert (got.holds, got.gap) == (want.holds, want.gap), (f, g, tol)
+    assert isinstance(got.gap, float)
+    if not got.holds:
+        assert type(got.witness) is float
+        assert f.eval(got.witness) - g.eval(got.witness) == got.gap
+        assert got.witness == _rule_witness(f, g, got.gap)
+    loop, arrays = _both_reads(f, g, tol)
+    assert repr(loop) == repr(arrays) == repr(got), (f, g, tol)
+    return got
+
+
 def test_step_walk_matches_the_probe_path():
-    # the walk reads each cell where the merged probe set reads it first,
-    # so it gives the sampled path's holds, witness and gap bit for bit,
-    # also where 2 lo + 2 overflows and both read the last cell at the
-    # next float above lo; a Grid is the Step of its samples
+    # one read per cell of a Step F gives the probe set's verdict and gap
+    # bit for bit, also past jumps where 2 lo + 2 overflows; only the
+    # witness moves, to the first float where the gap is attained, below
+    # every probe point that attains it; a Grid is the Step of its samples
     rng = random.Random(12)
-    past_probes = grids = 0
+    past_probes = grids = fails = 0
     for _ in range(20_000):
         f, g = _random_step_or_grid(rng), _random_step_or_grid(rng)
         grids += isinstance(f, Grid) or isinstance(g, Grid)
         tol = rng.choice((0.0, 1e-9, 0.3))
-        got = compare_leq(f, g, tol)
-        assert isinstance(got.gap, float)
-        if not got.holds:
-            assert type(got.witness) is float
-            assert f.eval(got.witness) - g.eval(got.witness) == got.gap
+        got = _check_step_pair(f, g, tol)
         lo = max((0.0, *f.breakpoints, *g.breakpoints))
         past_probes += math.isinf(2.0 * lo + 2.0)
-        want = distfn._compare_sampled(f, g, tol)
-        assert (got.holds, got.witness, got.gap) == (want.holds, want.witness, want.gap), (f, g, tol)
-    assert past_probes > 1000 and grids > 5000
+        if not got.holds:
+            fails += 1
+            xs = distfn.merged_probe_xs(f, g)
+            assert got.witness <= xs[np.argmax(f.eval_many(xs) - g.eval_many(xs))]
+    assert past_probes > 1000 and grids > 5000 and fails > 5000
 
 
 def test_step_walk_reads_the_cell_past_a_jump_near_the_largest_float():
-    # lo + 1 rounds to lo and 2 lo + 2 overflows, so both paths read the
-    # cell past the jump, where eps(1e308) exceeds 0.5, at the next float
+    # lo + 1 rounds to lo and 2 lo + 2 overflows, so the probe set reads
+    # the cell past the jump at the next float, where the rule reads it
     f, g = Step((1e308,), (0.0, 1.0)), Plateau(0.5)
     c = compare_leq(f, g)
     assert not c.holds
@@ -382,6 +423,117 @@ def test_step_walk_reads_the_cell_past_a_jump_near_the_largest_float():
     assert distfn._compare_sampled(f, g, 0.0) == c
     # past a jump at the largest float no finite x is left to read
     assert compare_leq(Step((1.7976931348623157e308,), (0.0, 1.0)), g).holds
+
+
+def test_a_step_against_a_ratio_fails_on_the_cell_past_its_jump():
+    # F = the step at 1 up to c exceeds Ratio(1) on (1, (c/(1-c))], which
+    # the probe set missed at c = 0.5001 and under-read at c = 0.505
+    g = Ratio(1.0)
+    c = compare_leq(Step((1.0,), (0.0, 0.5001)), g)
+    assert not c.holds and 1.0 < c.witness <= 1.0004
+    assert distfn._compare_sampled(Step((1.0,), (0.0, 0.5001)), g, 0.0).holds
+    c = compare_leq(Step((1.0,), (0.0, 0.505)), g)
+    assert not c.holds and 1.0 < c.witness <= 1.0004
+    assert c.gap == pytest.approx(0.005, abs=1e-9)
+
+
+
+def _smooth_operand(rng: random.Random):
+    """A Ratio, a 2- or 3-scale sup:prod chain, or a walk of a Step over a Ratio."""
+    prod, scale = get_tnorm("prod"), lambda: 10.0 ** rng.uniform(-2.0, 2.0)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Ratio(scale())
+    if kind == 3:
+        return LazyConv(prod, _random_step_or_grid(rng), Ratio(scale()), True)
+    h = LazyConv(prod, Ratio(scale()), Ratio(scale()), True)
+    return LazyConv(prod, h, Ratio(scale()), True) if kind == 2 else h
+
+
+def _dense_scan(f, g):
+    """The largest F - G over a geometric scan and the floats around each jump."""
+    jumps = np.array([b for h in (f, g) if isinstance(h, Step) for b in h.breakpoints])
+    with np.errstate(over="ignore"):  # past the largest float, dropped below
+        near = np.concatenate([jumps, np.nextafter(jumps, _LARGEST), jumps * (1.0 + 1e-9), jumps * (1.0 + 1e-3)])
+    xs = np.concatenate([np.geomspace(1e-6, 1e6, 2001), near, (_LARGEST,)])
+    xs = xs[(xs > 0.0) & (xs <= _LARGEST)]
+    return float(np.max(f.eval_many(xs) - g.eval_many(xs)))
+
+
+def test_a_step_side_against_smooth_operands_is_never_below_a_scan():
+    # Steps and Grids against Ratios, sup:prod chains and walks, in both
+    # orders: the exact gap is at least the probe set's and a dense scan's
+    # largest, and a failing witness attains it.  A chain's Newton root is
+    # monotone only to its last ulp, so a scan may read it 1 ulp lower
+    # further along a cell than at the cell's first float
+    ulp = np.spacing(1.0)
+    rng = random.Random(31)
+    beyond = 0
+    for _ in range(1500):
+        step, smooth = _random_step_or_grid(rng), _smooth_operand(rng)
+        for f, g in ((step, smooth), (smooth, step)):
+            tol = rng.choice((0.0, 1e-9, 0.3))
+            got = compare_leq(f, g, tol)
+            sampled = distfn._compare_sampled(f, g, tol)
+            assert got.gap >= sampled.gap - ulp and got.gap >= _dense_scan(f, g) - ulp, (f, g)
+            assert got.holds == (got.gap <= tol)
+            if not got.holds:
+                assert f.eval(got.witness) - g.eval(got.witness) == got.gap
+            beyond += sampled.holds and not got.holds
+            loop, arrays = _both_reads(f, g, tol)
+            assert repr(loop) == repr(arrays) == repr(got)
+    assert beyond > 0  # violations that the probe set misses
+
+
+def test_order_check_edge_cases_of_a_step_side():
+    chain = LazyConv(get_tnorm("prod"), Ratio(1.0), Ratio(2.0), True)
+    # a jump at the largest float: its cell on the left is empty, and on
+    # the right G reads its level before it up to the largest float
+    assert compare_leq(Step((1.0, _LARGEST), (0.0, 0.3, 1.0)), Plateau(0.5)).holds
+    assert compare_leq(Ratio(1.0), Step((_LARGEST,), (0.0, 1.0))) == distfn.Comparison(False, _LARGEST, 1.0)
+    assert compare_leq(Ratio(1.0), Step((1.0, _LARGEST), (0.0, 0.5, 1.0))) == distfn.Comparison(False, 1.0, 0.5)
+    # Plateau(gamma) and EPS_INF on either side
+    c = compare_leq(Plateau(0.5), Ratio(1.0))
+    assert c == distfn.Comparison(False, 5e-324, 0.5)
+    assert compare_leq(Ratio(1.0), Plateau(0.5)) == distfn.Comparison(False, _LARGEST, 0.5)
+    assert compare_leq(Plateau(0.5), chain, 0.0).witness == 5e-324
+    assert compare_leq(chain, Plateau(0.5), 0.0) == distfn.Comparison(False, _LARGEST, chain.eval(_LARGEST) - 0.5)
+    for g in (Ratio(1.0), chain, Plateau(0.3), EPS_INF):
+        assert compare_leq(EPS_INF, g, 0.0) == distfn.Comparison(True, None, 0.0)
+    assert compare_leq(Ratio(1.0), EPS_INF) == distfn.Comparison(False, _LARGEST, 1.0)
+    assert compare_leq(chain, EPS_INF, 0.0) == distfn.Comparison(False, _LARGEST, chain.eval(_LARGEST))
+    assert compare_leq(Plateau(0.3), EPS_INF) == distfn.Comparison(False, 5e-324, 0.3)
+    # a jump at -0.0 reads the cell (0, b'] at the least positive float
+    f = Step((-0.0,), (0.0, 0.7))
+    assert compare_leq(f, Ratio(1.0)) == distfn.Comparison(False, 5e-324, 0.7)
+    assert compare_leq(f, Step((-0.0, 2.0), (0.0, 0.7, 1.0))).holds
+    assert compare_leq(Ratio(1.0), Step((-0.0, 2.0), (0.0, 0.7, 1.0))) == distfn.Comparison(True, None, 0.0)
+    assert compare_leq(Ratio(1.0), Step((-0.0,), (0.0, 0.5))) == distfn.Comparison(False, _LARGEST, 0.5)
+
+
+def test_no_step_operand_reaches_the_probe_set(monkeypatch, capsys):
+    # the suites, every family's axiom battery and E25's convergent-set
+    # bound: the probe set sees no Step and no lazy result read as a Ratio
+    # or a Step; what is left is E25's sup:prod chains against Ratios
+    sampled = distfn._compare_sampled
+    seen = []
+
+    def counted(f, g, tol):
+        seen.append((f, g))
+        return sampled(f, g, tol)
+
+    monkeypatch.setattr(distfn, "_compare_sampled", counted)
+    assert main(["suite", "paper-examples"]) == 0
+    assert main(["suite", "laws"]) == 0
+    capsys.readouterr()
+    for family in FAMILIES:
+        axiom_suite(make_space(family))
+    convergent_set_bound(make_space("E25"), SequenceSpec("harmonic"), 0.0, lam=0.5, horizon=64)
+    assert seen
+    for pair in seen:
+        for h in pair:
+            assert distfn._exact_form(h) is h and not isinstance(h, Step), pair
+    assert not any(isinstance(f, Ratio) and isinstance(g, Ratio) for f, g in seen)
 
 
 def _wide_step(rng: random.Random, n: int):
@@ -418,8 +570,7 @@ def test_array_order_check_equals_the_loop_above_the_switch():
             f = Grid(f.breakpoints, f.levels[1:])
         zeros += math.copysign(1.0, min((INF, *f.breakpoints, *g.breakpoints))) < 0.0
         for tol in (0.0, 1e-9, 0.3):
-            got = compare_leq(f, g, tol)
-            assert repr(got) == repr(distfn._compare_loop(f, g, tol)) == repr(distfn._compare_array(f, g, tol))
+            _check_step_pair(f, g, tol)
     assert zeros > 100
 
 
@@ -446,8 +597,7 @@ def test_order_check_on_large_grids_matches_the_probe_path():
         f, g = (Grid(np.sort(rng.uniform(0.0, 64.0, 4096)).tolist(), np.sort(rng.random(4096)).tolist())
                 for _ in range(2))
         for a, b in ((f, g), (g, f), (f, f)):
-            got, want = compare_leq(a, b), distfn._compare_sampled(a, b, distfn.GRID_TOL)
-            assert (got.holds, got.witness, got.gap) == (want.holds, want.witness, want.gap)
+            _check_step_pair(a, b, distfn.GRID_TOL)
 
 
 def _merged_probe_xs_by_sets(f, g=None, extra=()):

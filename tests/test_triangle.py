@@ -570,6 +570,40 @@ def test_closed_forms_raise_no_warning_at_extreme_abscissae():
             assert np.all((vals >= 0.0) & (vals <= 1.0)) and np.all(np.diff(vals) >= -1e-15)
 
 
+def test_a_chain_is_read_bit_for_bit_at_scales_times_a_power_of_4():
+    # H(4^k x; 4^k a) = H(x; a): the forms read x and the scales through
+    # their ratios, and a chain whose x or scales could overflow reads at
+    # them divided by 2^64, which is exact.  At 4^511 = 2^1022 each of x
+    # and the scales stays finite, but x + sum a_i overflows
+    rng = np.random.default_rng(20)
+    xs = np.linspace(0.5, 3.9, 35)
+    for name in ("prod", "lukasiewicz"):
+        t = get_tnorm(name)
+        for n in (2, 3, 4):
+            scales = tuple(rng.uniform(0.5, 3.9, n))
+            want = _Chain(t, scales).eval_many(xs)
+            for k in (-500, -200, 1, 200, 480, 500, 511):
+                q = 4.0**k
+                got = _Chain(t, tuple(a * q for a in scales)).eval_many(xs * q)
+                assert np.array_equal(got, want), (name, scales, k)
+
+
+def test_chains_of_scales_near_the_largest_float_read_finite_values():
+    # at 2 and 3 scales of 1e308 (pytest turns a RuntimeWarning into an
+    # error), up to the largest float, where a Step's last cell is read
+    xs = np.append(np.geomspace(1e-300, 1e308, 61), np.finfo(float).max)
+    for name in ("prod", "lukasiewicz"):
+        t = get_tnorm(name)
+        h = sup_conv(t, Ratio(1e308), Ratio(1e308))
+        for r in (h, sup_conv(t, h, Ratio(1e308))):
+            vals = r.eval_many(xs)
+            assert np.all((vals >= 0.0) & (vals <= 1.0)) and np.all(np.diff(vals) >= -1e-15)
+            c = compare_leq(r, Plateau(0.5))
+            assert c.gap == max(0.0, r.eval(np.finfo(float).max) - 0.5)
+    # the pair at x = a: the split x/2 + x/2, (1/3)^2
+    assert sup_conv(get_tnorm("prod"), Ratio(1e308), Ratio(1e308)).eval(1e308) == pytest.approx(1.0 / 9.0, rel=1e-15)
+
+
 def test_min_and_t2_chains_and_inf_chains_stay_ratio():
     a, b, c, d = 0.7, 1.3, 2.1, 0.4
     ra, rb, rc, rd = Ratio(a), Ratio(b), Ratio(c), Ratio(d)
