@@ -437,7 +437,6 @@ def test_a_step_against_a_ratio_fails_on_the_cell_past_its_jump():
     assert c.gap == pytest.approx(0.005, abs=1e-9)
 
 
-
 def _smooth_operand(rng: random.Random):
     """A Ratio, a 2- or 3-scale sup:prod chain, or a walk of a Step over a Ratio."""
     prod, scale = get_tnorm("prod"), lambda: 10.0 ** rng.uniform(-2.0, 2.0)
