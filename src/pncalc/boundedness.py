@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distfn import DPLUS_TOL, DistFn, Step, check_tol, compare_leq, pointwise_min
+from .distfn import DPLUS_TOL, DistFn, Grid, Step, check_tol, compare_leq, pointwise_min
 from .pnspace import PNSpace, Vector, as_vector, default_samples, vec_sub
 from .topology import DEFAULT_HORIZON, SequenceSpec, convergence_probe, strong_topology_class
 from .triangle import conv_plateau
@@ -163,7 +163,7 @@ class RadiusReport:
 def _attainment_threshold(f: DistFn, level: float) -> float | None:
     """Smallest jump abscissa past which F >= level, for representations
     that attain their plateau at finite arguments; None otherwise."""
-    if not isinstance(f, Step) or f.is_approximate:
+    if not isinstance(f, Step) or isinstance(f, Grid):
         return None  # Ratio never attains its plateau at finite x; a Grid estimates
     for k, v in enumerate(f.levels):
         if v >= level:

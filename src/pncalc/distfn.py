@@ -11,15 +11,12 @@ partially ordered pointwise.  Four representations are provided:
 * ``Grid``    -- a sampled curve, read from below: the (approximate)
   Step that jumps to each sample's value at its abscissa.
 
-The order test ``compare_leq`` is exact when a Step (a Plateau or a Grid
-among them) is on either side: it reads both operands once per jump of
-the Step side, where the other side is least against it.  The witness
-of a violation is the first float where the gap is attained when F is a
-Step, and otherwise the end of G's first cell where it is attained (the
-largest float on G's last cell).  Ratio(a) <= Ratio(b) holds exactly
-when a >= b, and otherwise fails by its closed-form largest gap.  Any
-other pair with a lazy convolution is read at a merged probe set, so a
-violation between probe points can go unseen.
+The order test ``compare_leq`` reads both operands where the pair's
+largest gap can sit, and ``_read_gap`` turns the reads into a verdict.
+It is exact when a Step (a Plateau or a Grid among them) is on either
+side and for two Ratios.  Any other pair with a lazy convolution is
+read at a merged probe set, so a violation between probe points can go
+unseen.
 
 All values are immutable after construction and every operation is a
 pure function, so concurrent use of shared values is safe.
@@ -39,9 +36,6 @@ _LARGEST = math.nextafter(INF, 0.0)
 
 #: Plateau tolerance for membership in D+ (no mass escaping to infinity).
 DPLUS_TOL = 1e-9
-
-#: Default comparison tolerance when a sampled (Grid) operand is involved.
-GRID_TOL = 1e-6
 
 #: Largest grid, and most samples in a ``grid:@`` file: materializing a
 #: depth-1 convolution (a Ratio form or a walk over a Step side's jumps)
@@ -66,9 +60,9 @@ X_MIN_FRAC = 1e-6
 #: 2 us per jump of a minimum and 0.4 us per order-check read against a
 #: Step or a Ratio.  The crossovers measured at 20-32 pairs, 16-20 jumps
 #: and 24-32 reads, and the unit steps of the axiom batteries and the
-#: suites stay below the switch (a lazy operand costs a numpy call per
-#: read, 8 us, but meets Steps of one or two jumps there).  Loop / array
-#: us at n jumps per operand (2-CPU shared x86 host, best of 9):
+#: suites stay below the switch (a lazy operand, which costs a numpy call
+#: per read, is read at all of them in one).  Loop / array us at n jumps
+#: per operand (2-CPU shared x86 host, best of 9):
 #:
 #:     n    sup:prod convolution   minimum of two   order check
 #:     8          63 / 28              25 / 23          3 / 10
@@ -129,12 +123,6 @@ class DistFn:
         out[fin] = self._eval_pos_many(xs[fin])
         return out
 
-    def left_limit(self, x: float) -> float:
-        """Left limit of F at x; equals F(x) at finite x by left-continuity."""
-        if x == INF:
-            return self.plateau
-        return self.eval(x)
-
     @property
     def plateau(self) -> float:
         """sup of F over finite arguments, i.e. the left limit at +inf."""
@@ -157,9 +145,6 @@ class DistFn:
     def has_continuous_part(self) -> bool:
         """True when comparisons need a dense probe fill to resolve F."""
         return False
-
-    #: set on representations whose values carry discretization error
-    is_approximate: bool = False
 
     def in_d_plus(self, tol: float = DPLUS_TOL) -> bool:
         return self.plateau >= 1.0 - tol
@@ -324,8 +309,6 @@ class Grid(Step):
     fails one is built through ``Step``, whose checks name the fault.
     """
 
-    is_approximate = True
-
     def __init__(self, xs, vs):
         # a copy of xs, which becomes read-only: the caller's stays writeable
         xs, vs = np.array(xs, dtype=float), np.asarray(vs, dtype=float)
@@ -448,10 +431,8 @@ def from_spec(text: str) -> DistFn:
 @dataclass(frozen=True)
 class Comparison:
     """Outcome of a pointwise <= test: either it holds, or a witness x
-    where the left side exceeds the right by ``gap``.  With a Step F, x
-    is the first float where the gap is attained; with a Step G only, it
-    is the end of the first cell of G where it is attained: G's jump, or
-    the largest float on G's last cell."""
+    where the left side exceeds the right by ``gap`` (``_read_gap`` says
+    which x)."""
 
     holds: bool
     witness: float | None
@@ -478,34 +459,26 @@ def merged_probe_xs(f: DistFn, g: DistFn | None = None, extra=()) -> np.ndarray:
     return np.unique(np.concatenate([base, mids, (tail + 1.0, far)]))
 
 
-def compare_leq(f: DistFn, g: DistFn, tol: float | None = None) -> Comparison:
-    """Pointwise order test F <= G + tol.
+def compare_leq(f: DistFn, g: DistFn, tol: float = 0.0) -> Comparison:
+    """Pointwise order test F <= G + tol, at tolerance 0 for every pair
+    unless one is passed.
 
+    A lazy result whose form is a Ratio or a Step is read as that form.
     A pair with a Step on either side (a Plateau or a Grid among them) is
-    decided exactly by ``_compare_step_side``, and Ratio(a) <= Ratio(b)
-    holds by a >= b; for a < b the largest gap, (sqrt b - sqrt a)/(sqrt b
-    + sqrt a), is read at its abscissa sqrt(ab).  Any other pair is
-    sampled over the merged probe set.  A lazy result whose form is a
-    Ratio or a Step is read as that form.  Default tolerance is 0 for
-    exact representations and ``GRID_TOL`` when a sampled or lazy operand
-    is passed.
+    read once per cell of the Step side, by ``_compare_step_side``.
+    Ratio(a) <= Ratio(b) holds by a >= b; for a < b, F - G peaks at
+    sqrt(ab), at (sqrt b - sqrt a)/(sqrt b + sqrt a), and is read there.
+    Any other pair is read at the merged probe set.
     """
-    if tol is None:
-        tol = GRID_TOL if (f.is_approximate or g.is_approximate) else 0.0
     f, g = _exact_form(f), _exact_form(g)
     if isinstance(f, Step) or isinstance(g, Step):
         return _compare_step_side(f, g, tol)
     if isinstance(f, Ratio) and isinstance(g, Ratio):
         if f.beta >= g.beta and tol >= 0.0:
-            # what the sampled path finds: every diff <= 0, and 0 at x = 0
+            # what the reads find: every F - G <= 0, and 0 at x = 0
             return Comparison(True, None, 0.0)
         if f.beta < g.beta:
-            # F - G = x (b - a)/((x + a)(x + b)) peaks at x = sqrt(ab), at
-            # (sqrt b - sqrt a)/(sqrt b + sqrt a); read there, so the
-            # witness reproduces the gap
-            x = math.sqrt(f.beta) * math.sqrt(g.beta)
-            gap = f.eval(x) - g.eval(x)
-            return Comparison(True, None, gap) if gap <= tol else Comparison(False, x, gap)
+            return _read_gap(f, g, [math.sqrt(f.beta) * math.sqrt(g.beta)], tol)
     return _compare_sampled(f, g, tol)
 
 
@@ -516,15 +489,34 @@ def _exact_form(f: DistFn) -> DistFn:
     return closed if isinstance(closed, (Ratio, Step)) else f
 
 
+def _read_gap(f: DistFn, g: DistFn, xs, tol: float) -> Comparison:
+    """The order test F <= G + tol read at the abscissae xs, which the
+    caller picks where F - G is largest.  The gap is the first largest
+    F - G read, floored by the 0 that both operands read at x = 0, and
+    the abscissa where it is read is the witness: F(witness) - G(witness)
+    is the gap, and a gap of 0 is read at x = 0.  A list of reads of two
+    Steps or Ratios loops over ``eval``; any other reads are one
+    ``eval_many`` per operand.
+    """
+    gap, witness = 0.0, 0.0  # the floor
+    if isinstance(xs, list) and isinstance(f, (Step, Ratio)) and isinstance(g, (Step, Ratio)):
+        for x in xs:
+            d = f.eval(x) - g.eval(x)
+            if d > gap:
+                gap, witness = d, x
+    else:
+        xs = np.asarray(xs, dtype=float)
+        d = f.eval_many(xs) - g.eval_many(xs)
+        if d.size:  # a Step F with no jump has no cell to read
+            k = int(np.argmax(d))
+            if d[k] > gap:
+                gap, witness = float(d[k]), float(xs[k])
+    return Comparison(True, None, gap) if gap <= tol else Comparison(False, witness, gap)
+
+
 def _compare_sampled(f: DistFn, g: DistFn, tol: float) -> Comparison:
     """The order test read at the merged probe abscissae."""
-    xs = merged_probe_xs(f, g)
-    diff = f.eval_many(xs) - g.eval_many(xs)
-    k = int(np.argmax(diff))
-    gap = float(diff[k])
-    if gap <= tol:
-        return Comparison(True, None, gap)
-    return Comparison(False, float(xs[k]), gap)
+    return _read_gap(f, g, merged_probe_xs(f, g), tol)
 
 
 def _compare_step_side(f: DistFn, g: DistFn, tol: float) -> Comparison:
@@ -539,26 +531,15 @@ def _compare_step_side(f: DistFn, g: DistFn, tol: float) -> Comparison:
     that cell's own read.  When only G is a Step, F is largest on G's cell
     (c', c] at its jump c, where G still has its level before c, and on
     the last cell (c, inf) at the largest float, against G's plateau;
-    past a jump at the largest float that read repeats the jump's.  The
-    gap is the first largest read, floored by the 0 that both read at
-    x = 0, and its abscissa is the witness, so F(witness) - G(witness) is
-    the gap.  Below ``_ARRAY_MIN`` jumps the reads loop; from there on
-    they are one array read per operand.
+    past a jump at the largest float that read repeats the jump's.  Below
+    ``_ARRAY_MIN`` jumps the reads are a list, from there on an array.
     """
     s = f if isinstance(f, Step) else g
     if len(s.breakpoints) < _ARRAY_MIN:
         xs = [math.nextafter(b, _LARGEST) for b in s.breakpoints] if s is f else [*s.breakpoints, _LARGEST]
-        gap, witness = 0.0, 0.0
-        for x in xs:
-            d = f.eval(x) - g.eval(x)
-            if d > gap:
-                gap, witness = d, x
     else:
         xs = np.nextafter(s.arrays[0], _LARGEST) if s is f else np.append(s.arrays[0], _LARGEST)
-        d = f.eval_many(xs) - g.eval_many(xs)
-        k = int(np.argmax(d))
-        gap, witness = (float(d[k]), float(xs[k])) if d[k] > 0.0 else (0.0, 0.0)
-    return Comparison(True, None, gap) if gap <= tol else Comparison(False, witness, gap)
+    return _read_gap(f, g, xs, tol)
 
 
 def check_tol(tol: float) -> None:
@@ -569,7 +550,7 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and in [0, 1), got {tol}")
 
 
-def distfn_equal(f: DistFn, g: DistFn, tol: float | None = None) -> bool:
+def distfn_equal(f: DistFn, g: DistFn, tol: float = 0.0) -> bool:
     return compare_leq(f, g, tol).holds and compare_leq(g, f, tol).holds
 
 
@@ -611,7 +592,7 @@ def pointwise_min(fns) -> DistFn:
     left-continuous, so no regularization step is needed.  Exact for
     Steps (a Plateau or a Grid among them) and for pure Ratio families;
     sampled otherwise.  The minimum is a ``Grid`` whenever an operand is
-    approximate, as it carries that operand's sampling error.
+    one, as it carries that operand's sampling error.
     """
     fns = list(fns)
     if not fns:
@@ -622,7 +603,7 @@ def pointwise_min(fns) -> DistFn:
         return Ratio(max(f.beta for f in fns))
     if all(isinstance(f, Step) for f in fns):
         m = _min_steps(fns)
-        return _sampled(m) if any(f.is_approximate for f in fns) else m
+        return _sampled(m) if any(isinstance(f, Grid) for f in fns) else m
     return _sample_min(fns)
 
 

@@ -288,15 +288,12 @@ class LazyConv(DistFn):
     form in the module table.  Values are exact, but for the sampled
     fallback, where they are lower bounds under both kinds, and for a
     Ratio scale that overflows, read as its limit eps(inf).  The plateau
-    is exact either way (see ``conv_plateau``).  Values stay flagged
-    approximate, so default tolerances do not depend on the form."""
+    is exact either way (see ``conv_plateau``)."""
 
     tnorm: TNorm
     f: DistFn
     g: DistFn
     maximize: bool
-
-    is_approximate = True
 
     @functools.cached_property
     def closed(self) -> DistFn:
@@ -332,7 +329,7 @@ def _convolve(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn:
         return g
     if is_eps0(g):
         return f
-    if isinstance(f, Step) and isinstance(g, Step) and not (f.is_approximate or g.is_approximate):
+    if isinstance(f, Step) and isinstance(g, Step) and not (isinstance(f, Grid) or isinstance(g, Grid)):
         return _conv_steps(t, f, g, maximize)
     return LazyConv(t, f, g, maximize)
 

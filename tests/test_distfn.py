@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pncalc import distfn
-from pncalc.boundedness import convergent_set_bound
+from pncalc.boundedness import _attainment_threshold, convergent_set_bound
 from pncalc.cli import main, render_distfn
 from pncalc.pnspace import FAMILIES, axiom_suite, make_space
 from pncalc.tnorms import get_tnorm
 from pncalc.topology import SequenceSpec
-from pncalc.triangle import LazyConv
+from pncalc.triangle import LazyConv, sup_conv
 from pncalc.distfn import (
     EPS0,
     EPS_INF,
@@ -73,7 +73,7 @@ def test_plateau_is_the_one_jump_step():
 
 def test_grid_is_the_step_of_its_samples():
     g = Grid((0.5, 1.0, 2.0), (0.2, 0.2 - 1e-16, 0.7))
-    assert isinstance(g, Step) and g.is_approximate
+    assert isinstance(g, Step) and type(g) is Grid
     # a value just below an earlier one is wobble, raised to it
     assert (g.breakpoints, g.levels) == ((0.5, 1.0, 2.0), (0.0, 0.2, 0.2, 0.7))
     assert (g.xs, g.vs) == ((0.5, 1.0, 2.0), (0.2, 0.2, 0.7))
@@ -226,10 +226,11 @@ def test_left_continuity_at_jump():
 
 
 def test_left_limit_at_infinity():
-    assert Plateau(math.exp(-1.0)).left_limit(INF) == pytest.approx(0.367879441, abs=1e-9)
-    assert Ratio(7.0).left_limit(INF) == 1.0
-    assert eps(3.0).left_limit(INF) == 1.0
-    assert EPS_INF.left_limit(INF) == 0.0
+    # the left limit at +inf is the plateau (F(+inf) itself is 1 by convention)
+    assert Plateau(math.exp(-1.0)).plateau == pytest.approx(0.367879441, abs=1e-9)
+    assert Ratio(7.0).plateau == 1.0
+    assert eps(3.0).plateau == 1.0
+    assert EPS_INF.plateau == 0.0
 
 
 def test_grid_semantics_step_from_below():
@@ -296,6 +297,15 @@ def test_failing_ratio_pair_reads_its_closed_form_gap():
     # the sampled path read 0.1715629 at 1.4363, below the peak
     assert distfn._compare_sampled(Ratio(1.0), Ratio(2.0), 0.0).gap < c.gap
     assert compare_leq(Ratio(1.0), Ratio(2.0), 0.2).holds
+
+
+def test_the_default_tolerance_is_0_for_every_pair():
+    # a sampled pair and an exact pair alike: a gap of 1e-9 fails
+    for f, g in ((Grid((1.0,), (0.5 + 1e-9,)), Grid((1.0,), (0.5,))),
+                 (Step((1.0,), (0.0, 0.5 + 1e-9)), Step((1.0,), (0.0, 0.5)))):
+        assert compare_leq(f, g) == compare_leq(f, g, 0.0)
+        assert not compare_leq(f, g).holds and not distfn_equal(f, g)
+        assert distfn_equal(f, g, 1e-6)
 
 
 def test_violation_carries_witness():
@@ -533,6 +543,29 @@ def test_no_step_operand_reaches_the_probe_set(monkeypatch, capsys):
         for h in pair:
             assert distfn._exact_form(h) is h and not isinstance(h, Step), pair
     assert not any(isinstance(f, Ratio) and isinstance(g, Ratio) for f, g in seen)
+    # E25's battery alone: 45 from N3 and 9 from tau <= tau*.  A change
+    # to what the probe set decides changes this count
+    seen.clear()
+    axiom_suite(make_space("E25"))
+    assert len(seen) == 54
+
+
+def test_a_lazy_operand_against_a_small_step_is_read_once_as_an_array(monkeypatch):
+    # below the switch the Step side's reads are a list, but a lazy
+    # operand is read at all of them in one eval_many, not once per jump
+    chain = sup_conv(get_tnorm("prod"), Ratio(1.0), Ratio(2.0))
+    step = make_step([k / 4.0 for k in range(1, 17)], [0.0, *(k / 16.0 for k in range(1, 17))])
+    assert type(chain) is LazyConv and len(step.breakpoints) == 16 < distfn._ARRAY_MIN
+    calls = []
+    eval_one, eval_many = LazyConv.eval, LazyConv.eval_many
+    monkeypatch.setattr(LazyConv, "eval", lambda self, x: calls.append("eval") or eval_one(self, x))
+    monkeypatch.setattr(LazyConv, "eval_many", lambda self, xs: calls.append("eval_many") or eval_many(self, xs))
+    for f, g in ((step, chain), (chain, step)):
+        calls.clear()
+        got = compare_leq(f, g)
+        assert calls == ["eval_many"], (f, g)
+        if not got.holds:
+            assert f.eval(got.witness) - g.eval(got.witness) == got.gap
 
 
 def _wide_step(rng: random.Random, n: int):
@@ -596,7 +629,7 @@ def test_order_check_on_large_grids_matches_the_probe_path():
         f, g = (Grid(np.sort(rng.uniform(0.0, 64.0, 4096)).tolist(), np.sort(rng.random(4096)).tolist())
                 for _ in range(2))
         for a, b in ((f, g), (g, f), (f, f)):
-            _check_step_pair(a, b, distfn.GRID_TOL)
+            _check_step_pair(a, b, 1e-6)
 
 
 def _merged_probe_xs_by_sets(f, g=None, extra=()):
@@ -837,10 +870,15 @@ def test_pointwise_min_of_steps_is_exact():
 
 def test_pointwise_min_with_a_grid_operand_stays_a_grid():
     m = pointwise_min([Grid((1.0, 2.0), (0.5, 0.8)), eps(3.0)])
-    assert type(m) is Grid and m.is_approximate
+    assert type(m) is Grid
     assert (m.breakpoints, m.levels) == ((3.0,), (0.0, 0.8))
-    # so it compares at GRID_TOL and is not read as attaining its plateau
-    assert compare_leq(m, Step((3.0,), (0.0, 0.8 - 1e-7))).holds
+    # so it is not read as attaining its plateau; it compares at
+    # tolerance 0 as every pair does
+    assert _attainment_threshold(m, 0.8) is None
+    below = Step((3.0,), (0.0, 0.8 - 1e-7))
+    c = compare_leq(m, below)
+    assert not c.holds and c.gap == pytest.approx(1e-7)
+    assert compare_leq(m, below, 1e-6).holds
     # a minimum that is 0 at every finite x is eps(inf) exactly
     assert pointwise_min([Grid((1.0,), (0.5,)), EPS_INF]) is EPS_INF
 
