@@ -181,23 +181,18 @@ def _c5_classification():
     return True, "all four classes reproduced"
 
 
-_BATTERY = None
-
-
+@functools.cache
 def _battery_sets():
-    global _BATTERY
-    if _BATTERY is None:
-        _BATTERY = [
-            (make_space("E9", a=1.0), all_reals()),
-            (make_space("E25"), interval_rationals(math.sqrt(2.0), math.sqrt(10.0))),
-            (make_space("E12"), finite_set([1.0])),
-            (make_space("E12"), finite_set([float(m * m) for m in range(1, 51)])),
-            (make_space("E19"), finite_set([0.5, 1.0, 2.0])),
-            (make_space("E27", a=1.0), finite_set([-3.0, -1.0, 0.5, 2.0, 3.0])),
-            (make_space("E21"), finite_set([1.0, 2.0])),
-            (make_space("E12"), finite_set([0.0])),
-        ]
-    return _BATTERY
+    return (
+        (make_space("E9", a=1.0), all_reals()),
+        (make_space("E25"), interval_rationals(math.sqrt(2.0), math.sqrt(10.0))),
+        (make_space("E12"), finite_set([1.0])),
+        (make_space("E12"), finite_set([float(m * m) for m in range(1, 51)])),
+        (make_space("E19"), finite_set([0.5, 1.0, 2.0])),
+        (make_space("E27", a=1.0), finite_set([-3.0, -1.0, 0.5, 2.0, 3.0])),
+        (make_space("E21"), finite_set([1.0, 2.0])),
+        (make_space("E12"), finite_set([0.0])),
+    )
 
 
 @_criterion(6, "lower-bound witness coherence")

@@ -19,7 +19,6 @@ import numpy as np
 from .distfn import DPLUS_TOL, DistFn, Grid, Step, check_tol, compare_leq, pointwise_min
 from .pnspace import PNSpace, Vector, as_vector, default_samples, vec_sub
 from .topology import DEFAULT_HORIZON, SequenceSpec, convergence_probe, strong_topology_class
-from .triangle import conv_plateau
 
 CERTAINLY_BOUNDED = "certainly_bounded"
 PERHAPS_BOUNDED = "perhaps_bounded"
@@ -27,9 +26,8 @@ PERHAPS_UNBOUNDED = "perhaps_unbounded"
 CERTAINLY_UNBOUNDED = "certainly_unbounded"
 
 #: Largest interval sample: the lower-bound witness compares each sample's
-#: norm with the radius, about 8 us apiece where both are steps (E9, an
-#: exact walk) and 0.3 ms where they are Ratios (E25, sampled), so 16384
-#: samples take 0.13 s or 5 s (on a 2-CPU x86 host)
+#: norm with the radius, exactly, so 16384 samples take about 0.06 s in E9
+#: (steps) and 0.03 s in E25 (Ratios) on a 2-CPU x86 host
 MAX_SAMPLES = 16384
 
 
@@ -222,7 +220,7 @@ def dbounded_witness(space: PNSpace, a: SetSpec, tol: float = 1e-9) -> WitnessRe
         return WitnessResult(None, False, 0)
     g = report.radius
     members = _verification_members(space, a)
-    verified = all(compare_leq(g, space.norm_of(p), max(tol, 1e-9)).holds for p in members)
+    verified = all(compare_leq(g, space.norm_of(p), tol).holds for p in members)
     return WitnessResult(g, verified, len(members))
 
 
@@ -257,35 +255,26 @@ def convergent_set_bound(
 
     Premises checked on samples: the norm maps into the proper functions,
     tau preserves properness on sampled pairs, and the sequence enters the
-    lambda-neighborhood of the target within the horizon.
+    lambda-neighborhood of the target within the horizon.  ``tol`` is the
+    plateau tolerance of the norms, of tau and of H, and that of H's checks.
     """
     target = as_vector(target, space.dim)
     terms = [seq.term(m) for m in range(1, horizon + 1)]
-    sampled = list(terms) + [target] + [v for v in default_samples(space).vectors]
-    norms = [space.norm_of(p) for p in sampled]
+    norms = [space.norm_of(p) for p in (*terms, target, *default_samples(space).vectors)]
     if not all(f.in_d_plus(tol) for f in norms):
         return SequenceBoundResult("premise_norms_not_proper", None, None, False)
-    for f, g in zip(norms[:4], norms[1:5]):
-        if conv_plateau(space.tau, f, g) < 1.0 - tol:
-            return SequenceBoundResult("premise_tau_not_proper", None, None, False)
-    conv = convergence_probe(space, seq, target, (lam,), horizon)
-    verdict = conv.per_lambda[0]
+    if not all(space.tau(f, g).in_d_plus(tol) for f, g in zip(norms[:4], norms[1:5])):
+        return SequenceBoundResult("premise_tau_not_proper", None, None, False)
+    verdict = convergence_probe(space, seq, target, (lam,), horizon).per_lambda[0]
     if not verdict.succeeded:
         return SequenceBoundResult("premise_not_convergent", None, None, False)
     n = verdict.n
     g = space.norm_at_magnitude(max(space.magnitude(vec_sub(p, target)) for p in terms[n - 1:]))
-    nu_target = space.norm_of(target)
-    h = space.tau(g, nu_target)
-    # H is proper when its operands' plateaus say so: a sampled H reads
-    # its last sample, short of the plateau, as its plateau
-    plateau = conv_plateau(space.tau, g, nu_target)
+    h = space.tau(g, space.norm_of(target))
     if n > 1:
         head = space.norm_at_magnitude(max(map(space.magnitude, terms[:n - 1])))
         h = pointwise_min([head, h])
-        plateau = min(plateau, head.plateau)
-    ok = plateau >= 1.0 - max(tol, 1e-6) and all(
-        compare_leq(h, space.norm_of(p), 1e-9).holds for p in terms
-    )
+    ok = h.in_d_plus(tol) and all(compare_leq(h, space.norm_of(p), tol).holds for p in terms)
     return SequenceBoundResult("ok" if ok else "bound_unverified", h, n, ok)
 
 

@@ -13,10 +13,10 @@ partially ordered pointwise.  Four representations are provided:
 
 The order test ``compare_leq`` reads both operands where the pair's
 largest gap can sit, and ``_read_gap`` turns the reads into a verdict.
-It is exact when a Step (a Plateau or a Grid among them) is on either
-side and for two Ratios.  Any other pair with a lazy convolution is
-read at a merged probe set, so a violation between probe points can go
-unseen.
+It is exact with a Step (a Plateau or a Grid among them) on either side
+and below a Ratio, by the generator rule, for a Ratio or a chain of them.
+Any other pair with a lazy convolution is read at a merged probe set, so
+a violation between probe points can go unseen.
 
 All values are immutable after construction and every operation is a
 pure function, so concurrent use of shared values is safe.
@@ -28,6 +28,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,6 +277,10 @@ class Ratio(DistFn):
     def plateau(self) -> float:
         return 1.0
 
+    @property
+    def scales(self) -> tuple[float, ...]:
+        return (self.beta,)  # a chain of one, as ``triangle._Chain`` has its scales
+
     def scale_arg(self, a: float) -> "DistFn":
         a = self._check_scale(a)
         beta = self.beta * a
@@ -428,11 +433,9 @@ def from_spec(text: str) -> DistFn:
     raise ValueError(f"unknown distribution family {kind!r}")
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """Outcome of a pointwise <= test: either it holds, or a witness x
-    where the left side exceeds the right by ``gap`` (``_read_gap`` says
-    which x)."""
+class Comparison(NamedTuple):
+    """Outcome of a pointwise <= test: it holds, or the left side exceeds
+    the right by ``gap`` at the ``witness`` x that ``_read_gap`` names."""
 
     holds: bool
     witness: float | None
@@ -465,21 +468,43 @@ def compare_leq(f: DistFn, g: DistFn, tol: float = 0.0) -> Comparison:
 
     A lazy result whose form is a Ratio or a Step is read as that form.
     A pair with a Step on either side (a Plateau or a Grid among them) is
-    read once per cell of the Step side, by ``_compare_step_side``.
-    Ratio(a) <= Ratio(b) holds by a >= b; for a < b, F - G peaks at
-    sqrt(ab), at (sqrt b - sqrt a)/(sqrt b + sqrt a), and is read there.
-    Any other pair is read at the merged probe set.
+    read once per cell of the Step side, by ``_compare_step_side``.  For F
+    a Ratio or a sup:prod or sup:Lukasiewicz chain of them, F <= Ratio(c)
+    holds with no read by ``_generator_holds``, or else, for F = Ratio(a),
+    fails by (sqrt c - sqrt a)/(sqrt c + sqrt a) at sqrt(ac).  Any other
+    pair is read at the merged probe set.
     """
     f, g = _exact_form(f), _exact_form(g)
     if isinstance(f, Step) or isinstance(g, Step):
         return _compare_step_side(f, g, tol)
-    if isinstance(f, Ratio) and isinstance(g, Ratio):
-        if f.beta >= g.beta and tol >= 0.0:
-            # what the reads find: every F - G <= 0, and 0 at x = 0
-            return Comparison(True, None, 0.0)
-        if f.beta < g.beta:
-            return _read_gap(f, g, [math.sqrt(f.beta) * math.sqrt(g.beta)], tol)
+    scales = getattr(getattr(f, "closed", f), "scales", None)  # a Ratio's or a lazy chain's
+    if isinstance(g, Ratio) and scales and tol >= 0.0 and _generator_holds(scales, g.beta):
+        return Comparison(True, None, 0.0)  # what the reads find: every F - G <= 0, and 0 at x = 0
+    if isinstance(f, Ratio) and isinstance(g, Ratio) and f.beta < g.beta:
+        return _read_gap(f, g, [math.sqrt(f.beta) * math.sqrt(g.beta)], tol)
     return _compare_sampled(f, g, tol)
+
+
+def _generator_holds(scales, c: float) -> bool:
+    """Whether c <= C = (sum sqrt a_i)^2, the bound up to which F, a Ratio
+    or a chain of the Ratio(a_i), lies below Ratio(c) and past which it
+    fails at large x (Dombi, FSS 8, 1982): prod (1 + a_i/s_i) >= 1 + C/x
+    over every split of x, by Engel's form of Cauchy-Schwarz; under
+    Lukasiewicz, x (C - c) + c (C - sum a_i) >= 0.  sqrt c and sum sqrt a_i
+    round by 2^-53 and n 2^-53, so a margin decides all but near-ties: in
+    integers for two scales, as False from three on."""
+    n = len(scales)
+    if n == 1:  # C = a
+        return c <= scales[0]
+    root, s, margin = sum(map(math.sqrt, scales)), math.sqrt(c), (n + 1) * 2.0**-51
+    if s <= root * (1.0 - margin):
+        return True
+    if s >= root * (1.0 + margin) or n > 2:
+        return False
+    # c - a - b <= 2 sqrt(ab), over the common denominator of the three
+    (cn, cd), (an, ad), (bn, bd) = (v.as_integer_ratio() for v in (c, *scales))
+    d = cn * ad * bd - an * cd * bd - bn * cd * ad
+    return d <= 0 or d * d <= 4 * an * bn * cd * cd * ad * bd
 
 
 def _exact_form(f: DistFn) -> DistFn:
@@ -591,8 +616,9 @@ def pointwise_min(fns) -> DistFn:
     A finite minimum of left-continuous nondecreasing functions is again
     left-continuous, so no regularization step is needed.  Exact for
     Steps (a Plateau or a Grid among them) and for pure Ratio families;
-    sampled otherwise.  The minimum is a ``Grid`` whenever an operand is
-    one, as it carries that operand's sampling error.
+    sampled otherwise, with the least operand plateau.  The minimum is a
+    ``Grid`` whenever an operand is one, as it carries that operand's
+    sampling error.
     """
     fns = list(fns)
     if not fns:
@@ -609,12 +635,15 @@ def pointwise_min(fns) -> DistFn:
 
 def _sample_min(fns) -> Grid:
     """The Grid below the pointwise minimum of functions, read at the
-    first two's merged probe set, the others' probes and the default grid."""
+    first two's merged probe set, the others' probes, the default grid and
+    the powers of 2 past them up to 2^1023, with a last jump, at the
+    largest float, up to the least operand plateau."""
     xs = np.concatenate([merged_probe_xs(*fns[:2]), *(np.asarray(f.probe_xs(), dtype=float) for f in fns[2:]),
                          DEFAULT_GRID.points()])
-    xs = np.unique(xs[(xs > 0.0) & (xs < INF)])
-    vals = np.min([f.eval_many(xs) for f in fns], axis=0)
-    return Grid(xs, np.clip(np.maximum.accumulate(vals), 0.0, 1.0))
+    xs = np.unique(xs[(xs > 0.0) & (xs < _LARGEST)])
+    xs = np.concatenate((xs, np.ldexp(1.0, np.arange(np.frexp(xs[-1])[1], 1024))))
+    vals = np.clip(np.maximum.accumulate(np.min([f.eval_many(xs) for f in fns], axis=0)), 0.0, 1.0)
+    return Grid(np.append(xs, _LARGEST), np.append(vals, min(f.plateau for f in fns)))
 
 
 def _min_steps(steps) -> Step:

@@ -61,9 +61,10 @@ overflows takes the limit of ``Ratio.scale_arg``, eps(inf).  A walk
 convolved again under its own kind and t-norm re-associates: walk(F, G)
 (+) X = walk(F, G (+) X).  Any other pair (a chain under another kind
 or t-norm) reads the operand that is neither a Step nor a Ratio onto a
-Grid below it, at the sampled points of ``pointwise_min``, and walks
-that Grid: as both convolutions are nondecreasing in each operand, its
-values are lower bounds under both kinds.
+Grid below it, at the sampled points of ``pointwise_min``, which reach
+the largest float, and walks that Grid: as both convolutions are
+nondecreasing in each operand, its values are lower bounds under both
+kinds.
 """
 
 from __future__ import annotations
@@ -237,15 +238,6 @@ class _StepWalk(DistFn):
         return out
 
 
-def _scales(t: TNorm, f: DistFn) -> tuple[float, ...] | None:
-    """The scales of a Ratio, or of a lazy result that is a chain under T;
-    None for any other function."""
-    if isinstance(f, Ratio):
-        return (f.beta,)
-    if isinstance(f, LazyConv) and isinstance(f.closed, _Chain) and f.closed.tnorm.name == t.name:
-        return f.closed.scales
-
-
 def _closed_form(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn:
     """The convolution of F and G from the module table."""
     f, g = _exact_form(f), _exact_form(g)
@@ -255,9 +247,9 @@ def _closed_form(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn:
     if isinstance(f, Step):
         return _StepWalk(t, f, g, maximize)
     if maximize and t.name in ("prod", "lukasiewicz"):
-        fs, gs = _scales(t, f), _scales(t, g)
-        if fs and gs:
-            return _Chain(t, fs + gs)
+        fc, gc = getattr(f, "closed", f), getattr(g, "closed", g)
+        if all(isinstance(h, Ratio) or isinstance(h, _Chain) and h.tnorm.name == t.name for h in (fc, gc)):
+            return _Chain(t, fc.scales + gc.scales)
     elif isinstance(f, Ratio) and isinstance(g, Ratio):
         a, b = f.beta, g.beta
         if t.name == "min":
@@ -273,10 +265,9 @@ def _closed_form(t: TNorm, f: DistFn, g: DistFn, maximize: bool) -> DistFn:
         return Ratio(beta) if beta < INF else EPS_INF
     # a walk convolved again under its own kind and t-norm re-associates
     for h, other in ((f, g), (g, f)):
-        if isinstance(h, LazyConv) and isinstance(h.closed, _StepWalk):
-            walk = h.closed
-            if walk.maximize == maximize and walk.tnorm.name == t.name:
-                return _StepWalk(t, walk.f, _convolve(t, walk.g, other, maximize), maximize)
+        walk = getattr(h, "closed", None)
+        if isinstance(walk, _StepWalk) and walk.maximize == maximize and walk.tnorm.name == t.name:
+            return _StepWalk(t, walk.f, _convolve(t, walk.g, other, maximize), maximize)
     # any other pair walks the Grid below the operand that is not a Ratio
     h, other = (g, f) if isinstance(f, Ratio) else (f, g)
     return _StepWalk(t, _sample_min([h]), other, maximize)
@@ -288,7 +279,8 @@ class LazyConv(DistFn):
     form in the module table.  Values are exact, but for the sampled
     fallback, where they are lower bounds under both kinds, and for a
     Ratio scale that overflows, read as its limit eps(inf).  The plateau
-    is exact either way (see ``conv_plateau``)."""
+    is exact either way: T(pF, pG) for the sup, which the split x/2 + x/2
+    attains, and min(pF, pG), set by the endpoint splits, for the inf."""
 
     tnorm: TNorm
     f: DistFn
@@ -369,20 +361,6 @@ class TriangleFn:
         if self.kind == "max":
             return "max"
         return f"{self.kind}:{self.tnorm.name}"
-
-
-def conv_plateau(tau: TriangleFn, f: DistFn, g: DistFn) -> float:
-    """Left limit at +inf of tau(F, G), computed from the operand plateaus.
-
-    For the sup-convolution the symmetric split x/2 + x/2 drives both
-    operands to their plateaus, and T caps every other split, so the limit
-    is T(pF, pG).  The inf-convolution and the pointwise min are capped by
-    the endpoint splits, giving min(pF, pG).  Exact even when the sampled
-    convolution path truncates at its horizon.
-    """
-    if tau.kind == "sup":
-        return tau.tnorm(f.plateau, g.plateau)
-    return min(f.plateau, g.plateau)
 
 
 def parse_triangle(text: str) -> TriangleFn:

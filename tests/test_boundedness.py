@@ -19,7 +19,7 @@ from pncalc.boundedness import (
     prob_radius,
     sequence_image,
 )
-from pncalc.distfn import EPS0, Ratio, compare_leq, distfn_equal, eps, pointwise_min
+from pncalc.distfn import EPS0, Grid, Ratio, compare_leq, distfn_equal, eps, pointwise_min
 from pncalc.pnspace import FAMILIES, make_space
 from pncalc.topology import SequenceSpec
 
@@ -254,14 +254,25 @@ def test_bound_with_nonzero_target():
 
 @pytest.mark.parametrize("first,target", [(2.0, 1.0), (1.0, 2.0)], ids=["1+1/m", "2-1/m"])
 def test_bound_toward_a_nonzero_target_reads_the_operand_plateaus(first, target):
-    # tau(G, nu_target) is lazy in E25, so H is sampled up to x = 64 and
-    # its last sample sits below 1; the operands' plateaus show H proper
+    # tau(G, nu_target) is lazy in E25, so H is a sampled minimum, whose
+    # last jump, at the largest float, rises to the operands' plateau 1
     terms = tuple((target + (first - target) / m,) for m in range(1, 65))
     seq = SequenceSpec("explicit", terms=terms)
     rep = convergent_set_bound(make_space("E25"), seq, target, lam=0.5, horizon=64)
     assert rep.succeeded and rep.verified
     assert rep.n == 5
-    assert not rep.h.in_d_plus(1e-6)
+    assert isinstance(rep.h, Grid) and rep.h.in_d_plus(0.0)
+
+
+def test_tolerances_are_read_as_passed():
+    # no floor under tol: at tol 0 the exact plateaus and order checks of
+    # E25's bound toward a nonzero target and of its witness still hold
+    terms = tuple((1.0 + 1.0 / m,) for m in range(1, 65))
+    rep = convergent_set_bound(make_space("E25"), SequenceSpec("explicit", terms=terms), 1.0, lam=0.5,
+                               horizon=64, tol=0.0)
+    assert rep.succeeded and rep.verified and rep.h.plateau == 1.0
+    wit = dbounded_witness(make_space("E25"), interval_rationals(1.0, 2.0, 50), tol=0.0)
+    assert wit.found and wit.verified and wit.checked == 50
 
 
 def test_bound_fails_without_convergence():

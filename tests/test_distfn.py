@@ -4,6 +4,7 @@ weak-convergence distance, and membership in the proper subset."""
 import math
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from pncalc.cli import main, render_distfn
 from pncalc.pnspace import FAMILIES, axiom_suite, make_space
 from pncalc.tnorms import get_tnorm
 from pncalc.topology import SequenceSpec
-from pncalc.triangle import LazyConv, sup_conv
+from pncalc.triangle import LazyConv, inf_conv, sup_conv
 from pncalc.distfn import (
     EPS0,
     EPS_INF,
@@ -521,33 +522,109 @@ def test_order_check_edge_cases_of_a_step_side():
 
 
 def test_no_step_operand_reaches_the_probe_set(monkeypatch, capsys):
-    # the suites, every family's axiom battery and E25's convergent-set
-    # bound: the probe set sees no Step and no lazy result read as a Ratio
-    # or a Step; what is left is E25's sup:prod chains against Ratios
-    sampled = distfn._compare_sampled
+    # the suites, every family's axiom battery, E25's convergent-set bound
+    # and the chains of two Ratios against the Ratio of their summed scales
+    # under every kind and t-norm: a Step side is read per cell, and E25's
+    # sup:prod chains against Ratios are decided by the generator rule
     seen = []
-
-    def counted(f, g, tol):
-        seen.append((f, g))
-        return sampled(f, g, tol)
-
-    monkeypatch.setattr(distfn, "_compare_sampled", counted)
+    sampled = distfn._compare_sampled
+    monkeypatch.setattr(distfn, "_compare_sampled", lambda f, g, tol: seen.append((f, g)) or sampled(f, g, tol))
     assert main(["suite", "paper-examples"]) == 0
     assert main(["suite", "laws"]) == 0
     capsys.readouterr()
     for family in FAMILIES:
         axiom_suite(make_space(family))
     convergent_set_bound(make_space("E25"), SequenceSpec("harmonic"), 0.0, lam=0.5, horizon=64)
-    assert seen
-    for pair in seen:
-        for h in pair:
-            assert distfn._exact_form(h) is h and not isinstance(h, Step), pair
-    assert not any(isinstance(f, Ratio) and isinstance(g, Ratio) for f, g in seen)
-    # E25's battery alone: 45 from N3 and 9 from tau <= tau*.  A change
-    # to what the probe set decides changes this count
-    seen.clear()
-    axiom_suite(make_space("E25"))
-    assert len(seen) == 54
+    for a, b in ((0.25, 4.0), (1.0, 1.0), (3.7, 0.3)):
+        for tname in ("min", "prod", "t2"):
+            t = get_tnorm(tname)
+            assert compare_leq(sup_conv(t, Ratio(a), Ratio(b)), Ratio(a + b)).holds
+            assert compare_leq(Ratio(a + b), inf_conv(t, Ratio(a), Ratio(b))).holds
+    assert seen == []
+
+
+def _chain(tname, scales):
+    t = get_tnorm(tname)
+    f = Ratio(scales[0])
+    for a in scales[1:]:
+        f = sup_conv(t, f, Ratio(a))
+    return f
+
+
+@pytest.mark.parametrize("tname,scales", [
+    ("prod", (1.0, 2.0)), ("prod", (0.3, 7.0)), ("prod", (1.0, 2.0, 3.0)), ("prod", (0.5, 4.0, 0.01)),
+    ("lukasiewicz", (1.0, 2.0)), ("lukasiewicz", (0.3, 7.0)),
+])
+def test_the_generator_rule_against_a_dense_scan(monkeypatch, tname, scales):
+    # F <= Ratio(c) exactly when c <= C = (sum sqrt a_i)^2.  At C (1 - 1e-6)
+    # the rule holds with no read, and the computed F exceeds G nowhere by
+    # more than the two sides' rounding near 1: at most 3 half-ulps of 1
+    # for three scales, so 2 ulps of 1 is allowed.  At C (1 + 1e-6) F - G
+    # passes 1e-13 near x = 1e6 C
+    f = _chain(tname, scales)
+    big_c = sum(map(math.sqrt, scales)) ** 2
+    xs = big_c * np.geomspace(1e-6, 1e14, 200_001)
+    below, above = Ratio(big_c * (1.0 - 1e-6)), Ratio(big_c * (1.0 + 1e-6))
+    sampled = distfn._compare_sampled
+    monkeypatch.setattr(distfn, "_compare_sampled", lambda *a: pytest.fail("read at the probe set"))
+    assert compare_leq(f, below) == distfn.Comparison(True, None, 0.0)
+    assert np.max(f.eval_many(xs) - below.eval_many(xs)) <= 2.0 * np.spacing(1.0)
+    monkeypatch.setattr(distfn, "_compare_sampled", sampled)
+    assert not distfn._generator_holds(scales, above.beta)
+    assert np.max(f.eval_many(xs) - above.eval_many(xs)) > 1e-13
+
+
+def _exactly_below(c, scales):
+    """c <= (sqrt a + sqrt b)^2 in rationals, for one or two scales."""
+    a, b = (Fraction(v) for v in (*scales, 0.0)[:2])
+    d = Fraction(c) - a - b
+    return d <= 0 or d * d <= 4 * a * b
+
+
+def test_the_generator_rule_is_exact_at_near_ties():
+    # E25's battery of test_keyed_battery_on_a_custom_sample chains
+    # Ratio(sqrt 5e-324) = Ratio(2.2e-162) and Ratio(1e154) with other
+    # scales: there the rounded C can sit one ulp below c although c <= C,
+    # which a rounded comparison gets wrong.  Then random scales, each
+    # against the floats within 3 ulps of its rounded C
+    tiny, root3 = math.sqrt(5e-324), math.sqrt(3.0)
+    edge = [((tiny, root3), root3), ((root3, tiny), root3), ((tiny, 1e154), 1e154), ((tiny, tiny), math.sqrt(1e-323)),
+            ((1e154, 0.75 ** 0.5), 1e154), ((root3, root3), 6.0 ** 0.5)]
+    for scales, c in edge:
+        assert (sum(map(math.sqrt, scales)) ** 2 < c) == (scales in ((tiny, root3), (root3, tiny)))
+        assert distfn._generator_holds(scales, c) and _exactly_below(c, scales)
+        chain = sup_conv(get_tnorm("prod"), Ratio(scales[0]), Ratio(scales[1]))
+        assert compare_leq(chain, Ratio(c)) == distfn.Comparison(True, None, 0.0)
+    rng = random.Random(23)
+    for _ in range(400):
+        scales = tuple(math.ldexp(rng.random() + 0.5, rng.randint(-60, 60)) for _ in range(rng.choice((1, 2))))
+        if rng.random() < 0.25:
+            scales = (scales[0],) * len(scales)  # sqrt(ab) exact: a tie of C itself
+        c = sum(map(math.sqrt, scales)) ** 2
+        for _ in range(3):
+            c = math.nextafter(c, 0.0)
+        for _ in range(7):
+            assert distfn._generator_holds(scales, c) == _exactly_below(c, scales), (scales, c)
+            c = math.nextafter(c, INF)
+    # from three scales on a near-tie is left to the reads
+    assert not distfn._generator_holds((1.0, 1.0, 1.0), 9.0)
+    assert distfn._generator_holds((1.0, 1.0, 1.0), 9.0 * (1.0 - 1e-14))
+
+
+def test_the_reverse_order_and_the_bound_exceeded_are_read_as_before():
+    # Ratio(c) <= chain always fails near 0, and c > C fails at large x;
+    # both are still read at the probe set, and a Ratio pair past the rule
+    # at sqrt(ac)
+    chain = _chain("prod", (1.0, 2.0))
+    big_c = (1.0 + math.sqrt(2.0)) ** 2
+    for f, g in ((Ratio(big_c), chain), (chain, Ratio(2.0 * big_c))):
+        assert compare_leq(f, g) == distfn._compare_sampled(f, g, 0.0)
+        assert not compare_leq(f, g).holds
+    assert compare_leq(Ratio(1.0), Ratio(4.0)) == distfn.Comparison(False, 2.0, 2.0 / 3.0 - 2.0 / 6.0)
+    assert compare_leq(Ratio(4.0), Ratio(1.0)) == distfn.Comparison(True, None, 0.0)
+    # the tolerance does not enter the rule, but a negative one is read
+    assert not compare_leq(Ratio(4.0), Ratio(1.0), -1e-3).holds
+    assert repr(distfn.Comparison(False, 2.0, 0.5)) == "Comparison(holds=False, witness=2.0, gap=0.5)"
 
 
 def test_a_lazy_operand_against_a_small_step_is_read_once_as_an_array(monkeypatch):
@@ -891,6 +968,25 @@ def test_step_arrays_are_built_once_and_read_only():
     with pytest.raises(ValueError, match="read-only"):
         levels[0] = 1.0
     assert EPS_INF.eval_many(np.array([1.0, INF])).tolist() == [0.0, 1.0]
+
+
+def test_a_sampled_minimum_has_the_least_operand_plateau():
+    # the sampled Grid reads the powers of 2 up to 2^1023 and ends with a
+    # jump at the largest float to the least plateau; it stays below every
+    # operand's computed values but for their rounding: Ratio(1) reads 1.0
+    # at 2^53, where x + 1 rounds to x, and 1 - 2^-53 at 1.5e16
+    prod = get_tnorm("prod")
+    chain = sup_conv(prod, Ratio(1.0), Ratio(2.0))
+    walk = sup_conv(prod, Plateau(0.7), Ratio(1.0))
+    cases = ([Ratio(1.0), eps(1.0)], [Ratio(3.0), Plateau(0.4)], [chain, Ratio(5.0)], [walk, Ratio(2.0), chain],
+             [Ratio(1e300), eps(1e308)], [Ratio(1.0), Step((_LARGEST,), (0.0, 0.5))], [chain, EPS_INF])
+    for fns in cases:
+        m = pointwise_min(fns)
+        assert type(m) is Grid and m.plateau == min(f.plateau for f in fns), fns
+        assert m.xs[-1] == _LARGEST and m.xs[-2] >= 2.0**1023
+        xs = np.array([*m.xs, *np.geomspace(1e-3, 1e300, 301)])
+        assert np.all(m.eval_many(xs) <= np.min([f.eval_many(xs) for f in fns], axis=0) + np.spacing(1.0)), fns
+    assert max_tf(Ratio(1.0), eps(1.0)).plateau == 1.0 and len(max_tf(Ratio(1.0), eps(1.0)).xs) == 2472
 
 
 def test_pointwise_min_of_ratios():

@@ -38,7 +38,6 @@ from pncalc.triangle import (
     _StepWalk,
     _conv_array,
     _conv_loop,
-    conv_plateau,
     inf_conv,
     parse_triangle,
     random_step_fn,
@@ -343,8 +342,8 @@ def test_lazy_conv_plateau_is_structural():
     assert isinstance(r, LazyConv)
     assert r.plateau == 1.0
     assert r.in_d_plus()
-    assert conv_plateau(TriangleFn("sup", t), Ratio(1.0), Ratio(2.0)) == 1.0
-    assert conv_plateau(TriangleFn("max"), Plateau(0.3), Ratio(1.0)) == pytest.approx(0.3)
+    assert TriangleFn("sup", t)(Ratio(1.0), Ratio(2.0)).plateau == 1.0
+    assert TriangleFn("max")(Plateau(0.3), Ratio(1.0)).plateau == 0.3
 
 
 def test_lazy_conv_scale_arg_distributes():
@@ -710,6 +709,20 @@ def test_a_mixed_chain_walks_a_sampled_operand(kind, name):
     assert np.all(np.abs(got - _MIXED[kind, name]) < 0.01)
     if kind == "sup":
         assert np.all(got <= Ratio(6.0).eval_many(xs))
+
+
+def test_a_mixed_chain_keeps_growing_up_to_the_largest_float():
+    # its sampled operand reads the powers of 2 past the probe tail, so
+    # the walk grows past 4,002 (it read 0.998545 at 1e4, 1e5 and 1e6
+    # alike), stays below the inner chain and has the inner plateau
+    prod = get_tnorm("prod")
+    inner = sup_conv(prod, Ratio(1.0), Ratio(2.0))
+    r = inf_conv(prod, inner, Ratio(3.0))
+    assert r.closed.f.xs[-1] == sys.float_info.max and r.closed.f.plateau == inner.plateau == 1.0
+    xs = np.array([1e4, 1e5, 1e6, 1e100, 1e300])
+    got = r.eval_many(xs)
+    assert np.all(np.diff(got[:4]) > 0.0) and got[4] == 1.0 and np.all(got <= inner.eval_many(xs))
+    assert got[:3] == pytest.approx([0.999289, 0.999911, 0.999989], abs=1e-6)
 
 
 def test_scale_arg_keeps_the_closed_form():
