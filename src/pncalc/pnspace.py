@@ -56,9 +56,9 @@ Vector = tuple[float, ...]
 #: ``axioms --space E19:l2,dim=64`` takes about 3 s (on a 2-CPU x86 host)
 MAX_DIM = 64
 
-#: Relative slack of N3's magnitude of p + q: rounding p + q moves a base
-#: norm by u = 2^-53, ``hypot`` errs by under 2u and an l1 sum of d terms
-#: by (d - 1) u, so a finite |p + q| errs by (d + 2) u <= 66 u <= delta / 2.
+#: Relative slack of N3's magnitude of p + q, 128 u (u = 2^-53): rounding
+#: p + q moves a base norm by u, ``hypot`` errs by under 2u and an l1 sum
+#: of d terms by (d - 1) u, so a finite |p + q| errs by (d + 2) u <= 66 u.
 N3_SLACK = 2.0**-46
 
 _BASE_NORMS = {
