@@ -47,6 +47,6 @@ print("\nsup-convolution stays below the pointwise min:",
 
 # -- the law suite -------------------------------------------------------
 
-for spec in ("sup:prod", "sup:min", "max"):
-    rep = tf_law_suite(parse_triangle(spec), n_samples=50, seed=7)
+specs = ("sup:prod", "sup:min", "max")
+for spec, rep in zip(specs, tf_law_suite(map(parse_triangle, specs), n_samples=50, seed=7)):
     print(f"\nlaw suite for {spec}:", rep.to_dict())

@@ -115,10 +115,9 @@ def _c2_triangle_laws():
         TriangleFn("sup", get_tnorm("prod")),
         TriangleFn("max"),
     ]
-    for tau in taus:
-        rep = tf_law_suite(tau, n_samples=50, seed=7, tol=1e-12)
+    for rep in tf_law_suite(taus, n_samples=50, seed=7, tol=1e-12):
         if not rep.all_laws_hold:
-            return False, f"{tau.describe()}: {rep.to_dict()}"
+            return False, f"{rep.tau}: {rep.to_dict()}"
     rng = np.random.default_rng(11)
     for t in (get_tnorm("min"), get_tnorm("prod")):
         for _ in range(50):

@@ -240,8 +240,7 @@ def _task_suite(cfg: dict) -> dict:
             out["tnorms"].append(rep.to_dict())
             out["violations"] += rep.to_dict()["violations"]
         taus = ["sup:min", "sup:prod", "sup:lukasiewicz", "inf:prod", "max"]
-        for spec in taus:
-            rep = tf_law_suite(parse_triangle(spec), 30, seed)
+        for rep in tf_law_suite(map(parse_triangle, taus), 30, seed):
             d = rep.to_dict()
             out["triangle"].append(d)
             out["violations"] += sum(0 if v else 1 for k, v in d.items() if k != "tau")

@@ -57,18 +57,19 @@ X_MIN_FRAC = 1e-6
 #: ``_min_steps`` and ``triangle._conv_steps``) sweep numpy arrays instead
 #: of looping: the pairs of jumps a convolution sums, the jumps a minimum
 #: merges, or the jumps of an order check's Step side.  An array sweep pays
-#: 10-35 us of numpy calls at any size; a loop about 0.7-1 us per pair,
-#: 2 us per jump of a minimum and 0.4 us per order-check read against a
-#: Step or a Ratio.  The crossovers measured at 20-32 pairs, 16-20 jumps
-#: and 24-32 reads, and the unit steps of the axiom batteries and the
-#: suites stay below the switch (a lazy operand, which costs a numpy call
-#: per read, is read at all of them in one).  Loop / array us at n jumps
-#: per operand (2-CPU shared x86 host, best of 9):
+#: 12-25 us of numpy calls at these sizes; a loop, which builds its Step
+#: in one list pass (``_rising_list``), about 0.25-0.55 us per pair, 1 us
+#: per jump of a minimum and 0.45 us per order-check read against a Step
+#: or a Ratio.  The crossovers measured at 25-36 pairs, 20-24 jumps and
+#: 28-32 reads, and the unit steps of the axiom batteries and the suites
+#: stay below the switch (a lazy operand, which costs a numpy call per
+#: read, is read at all of them in one).  Loop / array us at n jumps per
+#: operand (2-CPU shared x86 host, best of 9):
 #:
 #:     n    sup:prod convolution   minimum of two   order check
-#:     8          63 / 28              25 / 23          3 / 10
-#:     32        767 / 76             106 / 36         12 / 10
-#:     64       2870 / 291            311 / 36         25 / 11
+#:     8          35 / 22              17 / 21          4 / 13
+#:     32        257 / 52              67 / 24         15 / 14
+#:     64        797 / 173            125 / 25         31 / 14
 _ARRAY_MIN = 32
 
 
@@ -213,7 +214,7 @@ class Step(DistFn):
 
     def scale_arg(self, a: float) -> "Step":
         a = self._check_scale(a)
-        return make_step([b * a for b in self.breakpoints], self.levels)
+        return _rising_list([b * a for b in self.breakpoints], self.levels[1:])
 
     def probe_xs(self) -> tuple[float, ...]:
         return self.breakpoints
@@ -370,9 +371,22 @@ def make_step(breakpoints, levels) -> Step:
         raise ValueError("levels must have exactly one more entry than breakpoints")
     if abs(lvls[0]) != 0.0:
         raise ValueError("base level must be 0")
+    xs, vs = zip(*sorted(zip(bps, lvls[1:]))) if bps else ((), ())
+    s = _rising_list(xs, vs)
+    s.__post_init__()  # the checks: the jumps come from outside
+    return s
+
+
+def _rising_list(xs, levels) -> Step:
+    """The Step that rises to ``levels[j]`` at ``xs[j]``, for ascending
+    float xs: ``_rising_step`` on lists, the pass of ``make_step`` without
+    its sort and checks, for the few jumps the loop kernels build.  Jumps
+    from one at +inf on drop, levels clip to 1, and of equal abscissae the
+    first stays, with the largest level; a level at or below every earlier
+    one (and 0) adds no jump."""
     out_b: list[float] = []
     out_l: list[float] = [0.0]
-    for b, v in sorted(zip(bps, lvls[1:])):
+    for b, v in zip(xs, levels):
         if math.isinf(b):
             break
         v = min(v, 1.0)
@@ -383,7 +397,15 @@ def make_step(breakpoints, levels) -> Step:
         else:
             out_b.append(b)
             out_l.append(v)
-    return Step(tuple(out_b), tuple(out_l))
+    return _new_step(tuple(out_b), tuple(out_l))
+
+
+def _new_step(breakpoints: tuple[float, ...], levels: tuple[float, ...]) -> Step:
+    """A Step from fields that meet its conditions by construction, set
+    without the checks of ``__post_init__``, as ``Grid`` sets its own."""
+    s = object.__new__(Step)
+    s.__dict__.update(breakpoints=breakpoints, levels=levels)
+    return s
 
 
 def eps(c: float) -> DistFn:
@@ -510,6 +532,8 @@ def _generator_holds(scales, c: float) -> bool:
 def _exact_form(f: DistFn) -> DistFn:
     """F, or the Ratio or Step that a lazy result F is read as: the
     ``closed`` form of a ``triangle.LazyConv``."""
+    if isinstance(f, (Ratio, Step)):
+        return f
     closed = getattr(f, "closed", f)
     return closed if isinstance(closed, (Ratio, Step)) else f
 
@@ -520,13 +544,13 @@ def _read_gap(f: DistFn, g: DistFn, xs, tol: float) -> Comparison:
     F - G read, floored by the 0 that both operands read at x = 0, and
     the abscissa where it is read is the witness: F(witness) - G(witness)
     is the gap, and a gap of 0 is read at x = 0.  A list of reads of two
-    Steps or Ratios loops over ``eval``; any other reads are one
-    ``eval_many`` per operand.
+    Steps or Ratios, each at a finite x >= 0, loops over ``_eval_pos``;
+    any other reads are one ``eval_many`` per operand.
     """
     gap, witness = 0.0, 0.0  # the floor
     if isinstance(xs, list) and isinstance(f, (Step, Ratio)) and isinstance(g, (Step, Ratio)):
         for x in xs:
-            d = f.eval(x) - g.eval(x)
+            d = f._eval_pos(x) - g._eval_pos(x)
             if d > gap:
                 gap, witness = d, x
     else:
@@ -581,7 +605,7 @@ def distfn_equal(f: DistFn, g: DistFn, tol: float = 0.0) -> bool:
 
 def is_eps0(f: DistFn) -> bool:
     """True when F is (pointwise) the maximal element: 1 on all of (0, +inf)."""
-    return isinstance(f, Step) and f.plateau >= 1.0 and all(b <= 0.0 for b in f.breakpoints)
+    return isinstance(f, Step) and f.plateau >= 1.0 and f.breakpoints[-1] <= 0.0  # a plateau of 1 has a jump
 
 
 def levy_dist(f: DistFn, g: DistFn) -> float:
@@ -661,9 +685,9 @@ def _min_loop(steps) -> Step:
     bps = sorted(set().union(*(s.breakpoints for s in steps)))
     if not bps:
         return EPS_INF
-    levels = [0.0] + [min(s.eval(r) for s in steps) for r in bps[1:]]
+    levels = [min(s._eval_pos(r) for s in steps) for r in bps[1:]]  # each r > bps[0] >= 0
     levels.append(min(s.plateau for s in steps))
-    return make_step(bps, levels)
+    return _rising_list(bps, levels)
 
 
 def _min_array(steps) -> Step:
@@ -684,7 +708,7 @@ def _rising_step(xs: np.ndarray, levels: np.ndarray) -> Step:
     fin = xs < INF  # ascending, so the abscissa at +inf is the last
     xs, levels = xs[fin], np.minimum(levels[fin], 1.0)
     keep = levels > np.maximum.accumulate(np.concatenate(((0.0,), levels[:-1])))
-    return Step(tuple(xs[keep].tolist()), (0.0, *levels[keep].tolist()))
+    return _new_step(tuple(xs[keep].tolist()), (0.0, *levels[keep].tolist()))
 
 
 def max_tf(f: DistFn, g: DistFn) -> DistFn:

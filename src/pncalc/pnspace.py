@@ -29,6 +29,7 @@ is a pure function of immutable inputs.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
@@ -62,7 +63,7 @@ MAX_DIM = 64
 N3_SLACK = 2.0**-46
 
 _BASE_NORMS = {
-    "l1": lambda p: sum(abs(c) for c in p),
+    "l1": lambda p: sum(map(abs, p)),
     "l2": lambda p: math.hypot(*p),
     "linf": lambda p: max((abs(c) for c in p), default=0.0),
 }
@@ -130,7 +131,7 @@ def parse_vectors(text: str) -> tuple[Vector, ...]:
 
 
 def vec_add(p: Vector, q: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(p, q))
+    return tuple(map(operator.add, p, q))
 
 def vec_sub(p: Vector, q: Vector) -> Vector:
     return tuple(a - b for a, b in zip(p, q))

@@ -71,12 +71,13 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distfn import (_ARRAY_MIN, DEFAULT_GRID, EPS0, EPS_INF, INF, DistFn, Grid, GridSpec, Ratio, Step,
-                     _exact_form, _rising_step, _sample_min, compare_leq, distfn_equal, is_eps0, make_step, max_tf)
+                     _exact_form, _rising_list, _rising_step, _sample_min, compare_leq, distfn_equal, is_eps0, max_tf)
 from .tnorms import LawCheck, TNorm
 
 #: values per block of a walk, its jumps times its columns, so that each
@@ -125,7 +126,7 @@ def _conv_loop(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:
     for s in sums if maximize else reversed(sums):
         run = max(run, best[s])
         levels.append(run)
-    return make_step(sums, levels if maximize else [-v for v in reversed(levels)])
+    return _rising_list(sums, levels[1:] if maximize else [-v for v in reversed(levels[:-1])])
 
 
 def _conv_array(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:
@@ -222,7 +223,7 @@ class _StepWalk(DistFn):
         # rows past the cut reduce exactly: to T(l, 0) = 0 for the sup, and
         # for the inf to S(l, 0) = l, least at the level before the cut
         bps, levels = self.f.arrays
-        cols = _BLOCK // max(1, bps.size)
+        cols = _BLOCK // max(1, bps.searchsorted(xs.max(initial=0.0)))  # the most jumps a block reads
         out = np.empty(xs.shape)
         for i in range(0, xs.size, cols):
             block = xs[i:i + cols]
@@ -379,12 +380,11 @@ def random_step_fn(rng: np.random.Generator, max_jumps: int = 4) -> Step:
     """Random step function with dyadic breakpoints and levels, so that
     sums and the standard t-norm values stay exactly representable."""
     k = int(rng.integers(1, max_jumps + 1))
-    bps = np.sort(rng.choice(np.arange(1, 129), size=k, replace=False)) / 8.0
-    raw = np.sort(rng.integers(0, 17, size=k)) / 16.0
-    levels = [0.0] + raw.tolist()
+    bps = [(b + 1) / 8.0 for b in sorted(rng.choice(128, size=k, replace=False).tolist())]
+    levels = [v / 16.0 for v in sorted(rng.integers(0, 17, size=k).tolist())]
     if rng.random() < 0.5:
         levels[-1] = 1.0
-    return make_step(tuple(bps.tolist()), levels)
+    return _rising_list(bps, levels)
 
 
 @dataclass(frozen=True)
@@ -410,14 +410,17 @@ class TriangleLawReport:
 
 
 def tf_law_suite(
-    tau: TriangleFn,
+    taus: Iterable[TriangleFn],
     n_samples: int = 50,
     seed: int = 7,
     tol: float = 1e-12,
     unit: DistFn = EPS0,
-) -> TriangleLawReport:
-    """Check the triangle-function axioms on random step operands.
+) -> list[TriangleLawReport]:
+    """Check the triangle-function axioms on random step operands, one
+    report per triangle function in ``taus``.
 
+    The n_samples operand triples are drawn once, from ``seed``, and every
+    tau is checked on the same ones, as one call per tau would draw them.
     The step operands keep everything on the exact path, so the default
     tolerance is tight.  Passing a wrong ``unit`` (a negative control)
     reports a violation with a witness operand.
@@ -425,18 +428,20 @@ def tf_law_suite(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
+    triples = [(random_step_fn(rng), random_step_fn(rng), random_step_fn(rng)) for _ in range(n_samples)]
+    # f scaled right is pointwise below f, giving an ordered pair
+    lows = [f.scale_arg(2.0) for f, _, _ in triples]
+    return [_law_report(tau, triples, lows, tol, unit) for tau in taus]
+
+
+def _law_report(tau: TriangleFn, triples: list, lows: list, tol: float, unit: DistFn) -> TriangleLawReport:
     assoc, comm, mono, unit_v = [], [], [], []
-    for _ in range(n_samples):
-        f = random_step_fn(rng)
-        g = random_step_fn(rng)
-        h = random_step_fn(rng)
+    for (f, g, h), lo in zip(triples, lows):
         fg = tau(f, g)
         if not distfn_equal(tau(fg, h), tau(f, tau(g, h)), tol):
             assoc.append((f, g, h))
         if not distfn_equal(fg, tau(g, f), tol):
             comm.append((f, g))
-        # f scaled right is pointwise below f, giving an ordered pair
-        lo = f.scale_arg(2.0)
         if not compare_leq(tau(lo, h), tau(f, h), tol).holds:
             mono.append((lo, f, h))
         if not distfn_equal(tau(f, unit), f, tol):

@@ -857,6 +857,50 @@ def test_grid_scale_arg_equals_the_step_route():
             assert np.array_equal(np.signbit(got.breakpoints), np.signbit(want.breakpoints))
 
 
+def test_rising_list_is_make_step_on_ascending_jumps():
+    # the loop kernels' pass builds make_step's Step from ascending jumps,
+    # to the sign bit of a zero abscissa (the first of equal ones stays)
+    pinned = [  # jumps, levels, and the Step's breakpoints and levels
+        ((1.0, INF), (0.5, 1.0), (1.0,), (0.0, 0.5)),  # jumps from +inf on drop
+        ((1.0, INF, INF), (0.25, 0.5, 1.0), (1.0,), (0.0, 0.25)),
+        ((-0.0, 1.0), (0.5, 1.0), (-0.0, 1.0), (0.0, 0.5, 1.0)),  # the sign bit of -0.0 stays
+        ((-0.0, 0.0, 2.0), (0.25, 0.5, 1.0), (-0.0, 2.0), (0.0, 0.5, 1.0)),  # equal abscissae merge into the first
+        ((1.0, 1.0, 1.0), (0.25, 0.25, 0.75), (1.0,), (0.0, 0.75)),
+        ((0.5, 2.0), (1.5, 2.0), (0.5,), (0.0, 1.0)),  # levels above 1 clip
+        ((0.5, 1.0, 2.0), (0.0, 0.0, 0.5), (2.0,), (0.0, 0.5)),  # zero-height jumps drop
+        ((0.5, 1.0, 2.0), (0.5, 0.5, 0.5), (0.5,), (0.0, 0.5)),
+        ((1.0, 2.0, 3.0), (0.5, 0.25, 0.75), (1.0, 3.0), (0.0, 0.5, 0.75)),  # a lower level adds no jump
+        ((), (), (), (0.0,)),
+    ]
+    for xs, vs, bps, levels in pinned:
+        assert repr(distfn._rising_list(xs, vs)) == repr(Step(bps, levels)), (xs, vs)
+    cases = [(xs, vs) for xs, vs, _, _ in pinned]
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        n = int(rng.integers(0, 12))
+        xs = np.sort(rng.choice([-0.0, 1e-300, 0.5, 1.0, 3.0, _LARGEST, INF], size=n))
+        vs = np.sort(rng.choice([0.0, 0.25, 0.5, 1.0, 1.5], size=n))
+        cases.append((tuple(xs.tolist()), tuple(vs.tolist())))
+    for xs, vs in cases:
+        assert repr(distfn._rising_list(xs, vs)) == repr(make_step(xs, (0.0, *vs))), (xs, vs)
+
+
+def test_step_scale_arg_equals_make_step_of_the_scaled_jumps():
+    # scaled jumps that underflow to 0 or round onto one abscissa merge,
+    # and those that overflow drop, as make_step does
+    rng = np.random.default_rng(29)
+    steps = [EPS0, eps(1.0), Step((-0.0, 1e-300, 1.0), (0.0, 0.25, 0.5, 1.0)),
+             Step((0.0, 1.0, 2.0), (0.0, 0.0, 0.5, 0.5)), Step((1e-310, 1.0, _LARGEST), (0.0, 0.5, 0.75, 1.0))]
+    for _ in range(200):
+        n = int(rng.integers(1, 20))
+        bps = np.sort(rng.choice(np.geomspace(1e-310, 1e308, 4000), size=n, replace=False))
+        steps.append(Step(tuple(bps.tolist()), (0.0, *(np.sort(rng.choice(np.arange(0, 9), size=n)) / 8.0).tolist())))
+    for s in steps:
+        for a in (1e-300, 1e-30, 0.5, 3.0, 1e300):
+            want = make_step([b * a for b in s.breakpoints], s.levels)
+            assert repr(s.scale_arg(a)) == repr(want), (s, a)
+
+
 def test_scale_arg_rejects_nonpositive():
     with pytest.raises(ValueError):
         eps(1.0).scale_arg(0.0)

@@ -1,6 +1,7 @@
 """The reports of the README's command lines are byte-stable: each
 command in its "Command line" block prints exactly its stored report
-in tests/data/readme_reports.json."""
+in tests/data/readme_reports.json.  So do both suites: each prints the
+stdout and stderr stored in tests/data/suite_reports.json."""
 
 import json
 import shlex
@@ -12,6 +13,7 @@ from pncalc.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORTS = json.loads((ROOT / "tests" / "data" / "readme_reports.json").read_text(encoding="utf-8"))
+SUITES = json.loads((ROOT / "tests" / "data" / "suite_reports.json").read_text(encoding="utf-8"))
 
 
 def readme_commands() -> list[str]:
@@ -34,3 +36,11 @@ def test_readme_report_is_byte_stable(capsys, monkeypatch, command):
     monkeypatch.delenv("PNCALC_SEED", raising=False)  # the reports embed the default seed
     assert main(shlex.split(command)) == 0
     assert capsys.readouterr().out == REPORTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(SUITES))
+def test_suite_report_is_byte_stable(capsys, monkeypatch, command):
+    monkeypatch.delenv("PNCALC_SEED", raising=False)  # the reports embed the default seed
+    assert main(command.split()) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (SUITES[command]["stdout"], SUITES[command]["stderr"])

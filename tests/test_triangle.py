@@ -527,11 +527,12 @@ def test_cut_walk_equals_the_full_walk_bit_for_bit(name):
 
 
 def test_cut_walk_reads_only_the_jumps_below_each_block(monkeypatch):
-    # a 64-sample Grid reads 16,384 // 64 = 256 ascending points per
-    # block.  Its jumps sit at 2^(-6 + 12 j / 63), and the default grid's
-    # block tops at 2^-8.96, 2^-3.98, 2^1.01 and 64: below them lie no
-    # jump, j <= 10, j <= 36 and j <= 62, so G is read at 256 * (0 + 11 +
-    # 37 + 63) = 28,416 points, where the full walk read 64 * 1,024 = 65,536
+    # a 64-sample Grid has 63 jumps below the default grid's largest
+    # point, 64, so it reads 16,384 // 63 = 260 ascending points per
+    # block.  Its jumps sit at 2^(-6 + 12 j / 63), and the block tops at
+    # 2^-8.89, 2^-3.82, 2^1.25 and 64: below them lie no jump, j <= 11,
+    # j <= 38 and j <= 62, so G is read at 260 * (0 + 12 + 39) + 244 * 63
+    # = 28,632 points, where the full walk read 64 * 1,024 = 65,536
     seen = []
     g_eval = Ratio.eval_many
 
@@ -544,7 +545,22 @@ def test_cut_walk_reads_only_the_jumps_below_each_block(monkeypatch):
     for conv in (sup_conv, inf_conv):
         seen.clear()
         conv(get_tnorm("prod"), grid, Ratio(1.3)).eval_many(DEFAULT_GRID.points())
-        assert sum(seen) == 28416
+        assert sum(seen) == 28632
+
+
+def test_walk_blocks_sized_by_the_jumps_they_read_keep_every_value():
+    # the mixed-kind fallback walks a Grid of about 2,500 jumps, most of
+    # them above every point: its blocks hold the points of a walk that
+    # reads only the jumps below them, with the values of one point each
+    prod = get_tnorm("prod")
+    for r in (inf_conv(prod, sup_conv(prod, Ratio(1.0), Ratio(2.0)), Ratio(3.0)),
+              sup_conv(get_tnorm("min"), inf_conv(prod, Ratio(1.0), Ratio(2.0)), eps(0.5))):
+        walk = r.closed
+        assert isinstance(walk, _StepWalk)
+        xs = DEFAULT_GRID.points()
+        got = r.eval_many(xs)
+        one = np.concatenate([walk._eval_pos_many(xs[i:i + 1]) for i in range(xs.size)])
+        assert np.array_equal(got.view(np.int64), one.view(np.int64))
 
 
 def test_closed_forms_raise_no_warning_at_extreme_abscissae():
@@ -793,13 +809,13 @@ def test_step_walk_reads_the_split_the_search_loses_to_rounding():
 # ------------------------------------------------------------ law suite
 
 def test_law_suite_passes_for_exact_kinds():
-    for spec in ("sup:min", "sup:prod", "max", "inf:prod", "sup:lukasiewicz"):
-        rep = tf_law_suite(parse_triangle(spec), n_samples=50, seed=7, tol=1e-12)
+    specs = ("sup:min", "sup:prod", "max", "inf:prod", "sup:lukasiewicz")
+    for spec, rep in zip(specs, tf_law_suite(map(parse_triangle, specs), n_samples=50, seed=7, tol=1e-12)):
         assert rep.all_laws_hold, (spec, rep.to_dict())
 
 
 def test_law_suite_negative_control_wrong_unit():
-    rep = tf_law_suite(parse_triangle("sup:prod"), n_samples=20, seed=7, unit=eps(1.0))
+    [rep] = tf_law_suite([parse_triangle("sup:prod")], n_samples=20, seed=7, unit=eps(1.0))
     assert not rep.unit.ok
     assert rep.unit.violations  # witness operand recorded
 
@@ -815,10 +831,41 @@ class _LeftProjection:
 
 
 def test_law_suite_negative_control_non_commutative():
-    rep = tf_law_suite(_LeftProjection(), n_samples=20, seed=7)
+    [rep] = tf_law_suite([_LeftProjection()], n_samples=20, seed=7)
     assert not rep.commutative.ok
     assert rep.commutative.violations  # witness pair recorded
     assert rep.associative.ok and rep.monotone.ok and rep.unit.ok
+
+
+def test_law_suite_of_many_taus_equals_one_call_per_tau():
+    # the operands are drawn once for every tau, and both negative
+    # controls report the same witnesses
+    taus = [*map(parse_triangle, ("sup:min", "sup:prod", "sup:lukasiewicz", "inf:prod", "max")), _LeftProjection()]
+    for unit in (EPS0, eps(1.0)):
+        reps = tf_law_suite(taus, n_samples=20, seed=7, unit=unit)
+        assert reps == [tf_law_suite([tau], n_samples=20, seed=7, unit=unit)[0] for tau in taus]
+        assert [r.unit.ok for r in reps] == [unit is EPS0] * 5 + [True]  # the projection keeps F
+        assert [r.commutative.ok for r in reps] == [True] * 5 + [False]
+
+
+def _numpy_random_step_fn(rng, max_jumps=4):
+    """``random_step_fn`` as it drew before it sorted in Python."""
+    k = int(rng.integers(1, max_jumps + 1))
+    bps = np.sort(rng.choice(np.arange(1, 129), size=k, replace=False)) / 8.0
+    raw = np.sort(rng.integers(0, 17, size=k)) / 16.0
+    levels = [0.0] + raw.tolist()
+    if rng.random() < 0.5:
+        levels[-1] = 1.0
+    return make_step(tuple(bps.tolist()), levels)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4, 5, 6, 7, 9, 11, 12])
+def test_random_step_fn_draws_what_the_numpy_draw_drew(seed):
+    for max_jumps in (4, 1, 16):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(300):
+            assert repr(random_step_fn(new, max_jumps)) == repr(_numpy_random_step_fn(old, max_jumps))
+        assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_parse_triangle_rejects_malformed():
