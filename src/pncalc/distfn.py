@@ -15,8 +15,11 @@ The order test ``compare_leq`` reads both operands where the pair's
 largest gap can sit, and ``_read_gap`` turns the reads into a verdict.
 It is exact with a Step (a Plateau or a Grid among them) on either side
 and below a Ratio, by the generator rule, for a Ratio or a chain of them.
-Any other pair with a lazy convolution is read at a merged probe set, so
-a violation between probe points can go unseen.
+Any other pair with a lazy convolution is sampled.  Every sampled path
+(that order check, the sampled pointwise minimum and ``levy_dist``)
+reads the one set that ``merged_probe_xs`` builds from the operands'
+probe points, up to the largest float; a violation between two of its
+points can go unseen.
 
 All values are immutable after construction and every operation is a
 pure function, so concurrent use of shared values is safe.
@@ -139,14 +142,10 @@ class DistFn:
         raise NotImplementedError
 
     def probe_xs(self) -> tuple[float, ...]:
-        """Abscissae that resolve this function's shape, read by the
-        sampled order check, the sampled minimum and ``levy_dist``."""
+        """Abscissae that resolve this function's shape, from which
+        ``merged_probe_xs`` builds the one set of points that the sampled
+        order check, the sampled minimum and ``levy_dist`` read."""
         raise NotImplementedError
-
-    @property
-    def has_continuous_part(self) -> bool:
-        """True when comparisons need a dense probe fill to resolve F."""
-        return False
 
     def in_d_plus(self, tol: float = DPLUS_TOL) -> bool:
         return self.plateau >= 1.0 - tol
@@ -297,10 +296,6 @@ class Ratio(DistFn):
             return tuple(pts[pts < INF])
         return tuple(self.beta * _RATIO_LADDER)
 
-    @property
-    def has_continuous_part(self) -> bool:
-        return True
-
 
 class Grid(Step):
     """Sampled curve: F(x) = vs[j] on (xs[j], xs[j+1]], zero at or below xs[0].
@@ -345,15 +340,7 @@ class Grid(Step):
         return self.levels[1:]
 
     def scale_arg(self, a: float) -> "DistFn":
-        # make_step's pass on arrays: jumps that add no height or overflow
-        # drop, and those that round onto one abscissa merge into the first
-        xs, levels = self.arrays
-        with np.errstate(over="ignore"):
-            bps = xs * self._check_scale(a)
-        keep = (levels[1:] > levels[:-1]) & (bps < INF)
-        bps, vs = bps[keep], levels[1:][keep]
-        new = bps[1:] != bps[:-1]
-        return Grid(bps[np.insert(new, 0, True)], vs[np.append(new, True)]) if bps.size else EPS_INF
+        return _sampled(Step.scale_arg(self, a))
 
 
 def _sampled(s: Step) -> DistFn:
@@ -387,7 +374,7 @@ def _rising_list(xs, levels) -> Step:
     out_b: list[float] = []
     out_l: list[float] = [0.0]
     for b, v in zip(xs, levels):
-        if math.isinf(b):
+        if b == INF:
             break
         v = min(v, 1.0)
         if v <= out_l[-1]:
@@ -464,24 +451,22 @@ class Comparison(NamedTuple):
     gap: float
 
 
-def merged_probe_xs(f: DistFn, g: DistFn | None = None, extra=()) -> np.ndarray:
-    """Probe abscissae resolving both operands: native probe points, their
-    midpoints, a tail point past the last feature, plus a dense geometric
-    fill when a continuous (Ratio) operand is involved."""
-    fns = (f,) if g is None else (f, g)
+def merged_probe_xs(*fns: DistFn, extra=()) -> np.ndarray:
+    """The abscissae that every sampled path reads: 0, the operands' probe
+    points and ``extra`` with their midpoints, the comparison fill when an
+    operand is not a Step, and the powers of 2 from the least positive
+    point up to 2^1023, then the largest float, so that a gap past the
+    last probe point is read too."""
     parts = [(0.0,), *(fn.probe_xs() for fn in fns), extra]
-    if any(fn.has_continuous_part for fn in fns):
+    if not all(isinstance(fn, Step) for fn in fns):
         parts.append(_COMPARE_FILL_XS)
     pts = np.concatenate([np.asarray(p, dtype=float) for p in parts])
     # adding 0.0 turns a -0.0 probe into +0.0
     base = np.unique(pts[(pts >= 0.0) & (pts < INF)]) + 0.0
     with np.errstate(over="ignore"):  # two abscissae near the largest float
         mids = (base[:-1] + base[1:]) / 2.0
-    tail = float(base[-1])
-    far = 2.0 * tail + 2.0
-    if far == INF:  # past a jump above about 9e307
-        far = math.nextafter(tail, INF)
-    return np.unique(np.concatenate([base, mids, (tail + 1.0, far)]))
+    xs = np.unique(np.concatenate([base, mids, (_LARGEST,)]))  # xs[0] is 0
+    return np.union1d(xs, np.ldexp(1.0, np.arange(np.frexp(xs[1])[1], 1024)))
 
 
 def compare_leq(f: DistFn, g: DistFn, tol: float = 0.0) -> Comparison:
@@ -658,14 +643,11 @@ def pointwise_min(fns) -> DistFn:
 
 
 def _sample_min(fns) -> Grid:
-    """The Grid below the pointwise minimum of functions, read at the
-    first two's merged probe set, the others' probes, the default grid and
-    the powers of 2 past them up to 2^1023, with a last jump, at the
+    """The Grid below the pointwise minimum of functions, read at their
+    merged probe set and the default grid, with a last jump, at the
     largest float, up to the least operand plateau."""
-    xs = np.concatenate([merged_probe_xs(*fns[:2]), *(np.asarray(f.probe_xs(), dtype=float) for f in fns[2:]),
-                         DEFAULT_GRID.points()])
-    xs = np.unique(xs[(xs > 0.0) & (xs < _LARGEST)])
-    xs = np.concatenate((xs, np.ldexp(1.0, np.arange(np.frexp(xs[-1])[1], 1024))))
+    xs = np.union1d(merged_probe_xs(*fns), DEFAULT_GRID.points())
+    xs = xs[(xs > 0.0) & (xs < _LARGEST)]
     vals = np.clip(np.maximum.accumulate(np.min([f.eval_many(xs) for f in fns], axis=0)), 0.0, 1.0)
     return Grid(np.append(xs, _LARGEST), np.append(vals, min(f.plateau for f in fns)))
 

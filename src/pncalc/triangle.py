@@ -299,10 +299,6 @@ class LazyConv(DistFn):
     def plateau(self) -> float:
         return self.tnorm(self.f.plateau, self.g.plateau) if self.maximize else min(self.f.plateau, self.g.plateau)
 
-    @property
-    def has_continuous_part(self) -> bool:
-        return self.f.has_continuous_part or self.g.has_continuous_part
-
     def scale_arg(self, a: float) -> "LazyConv":
         # sup_{s+t=x/a} T(F(s), G(t)) rewrites to the convolution of the
         # argument-scaled operands, so scaling distributes

@@ -3,6 +3,7 @@ weak-convergence distance, and membership in the proper subset."""
 
 import math
 import random
+import shlex
 import sys
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from pncalc.pnspace import FAMILIES, axiom_suite, make_space
 from pncalc.tnorms import get_tnorm
 from pncalc.topology import SequenceSpec
 from pncalc.triangle import LazyConv, inf_conv, sup_conv
+from test_readme_reports import COMMANDS
 from pncalc.distfn import (
     EPS0,
     EPS_INF,
@@ -216,6 +218,14 @@ def test_make_step_canonicalizes():
     s = make_step([1.0, INF], [0.0, 0.5, 1.0])
     assert s == Step((1.0,), (0.0, 0.5))
     assert s.plateau == 0.5
+
+
+@pytest.mark.parametrize("b", [-INF, -1.0, math.nan])
+def test_make_step_rejects_a_jump_below_zero_or_at_nan(b):
+    # a jump at -inf is rejected as one at -1 is, not read as the end of
+    # the jumps: only +inf ends them
+    with pytest.raises(ValueError, match="breakpoints must be finite and nonnegative"):
+        make_step([b, 1.0], [0.0, 0.5, 1.0])
 
 
 # ------------------------------------------------------------ evaluation
@@ -425,13 +435,13 @@ def test_step_walk_matches_the_probe_path():
 
 
 def test_step_walk_reads_the_cell_past_a_jump_near_the_largest_float():
-    # lo + 1 rounds to lo and 2 lo + 2 overflows, so the probe set reads
-    # the cell past the jump at the next float, where the rule reads it
+    # the rule reads the cell past the jump at the next float; the probe
+    # set reads it at the largest float, its last point, with the same gap
     f, g = Step((1e308,), (0.0, 1.0)), Plateau(0.5)
     c = compare_leq(f, g)
     assert not c.holds
     assert c.witness == math.nextafter(1e308, INF) and c.gap == 0.5
-    assert distfn._compare_sampled(f, g, 0.0) == c
+    assert distfn._compare_sampled(f, g, 0.0) == c._replace(witness=_LARGEST)
     # past a jump at the largest float no finite x is left to read
     assert compare_leq(Step((1.7976931348623157e308,), (0.0, 1.0)), g).holds
 
@@ -522,15 +532,21 @@ def test_order_check_edge_cases_of_a_step_side():
 
 
 def test_no_step_operand_reaches_the_probe_set(monkeypatch, capsys):
-    # the suites, every family's axiom battery, E25's convergent-set bound
-    # and the chains of two Ratios against the Ratio of their summed scales
-    # under every kind and t-norm: a Step side is read per cell, and E25's
-    # sup:prod chains against Ratios are decided by the generator rule
-    seen = []
-    sampled = distfn._compare_sampled
+    # the suites, every README command, every family's axiom battery, E25's
+    # convergent-set bound and the chains of two Ratios against the Ratio
+    # of their summed scales under every kind and t-norm: a Step side is
+    # read per cell, and E25's sup:prod chains against Ratios are decided
+    # by the generator rule.  No sampled path runs, so not one probe set
+    # is built
+    seen, probe_sets = [], []
+    sampled, probes = distfn._compare_sampled, distfn.merged_probe_xs
     monkeypatch.setattr(distfn, "_compare_sampled", lambda f, g, tol: seen.append((f, g)) or sampled(f, g, tol))
+    monkeypatch.setattr(distfn, "merged_probe_xs", lambda *a, **k: probe_sets.append(a) or probes(*a, **k))
+    monkeypatch.delenv("PNCALC_SEED", raising=False)
     assert main(["suite", "paper-examples"]) == 0
     assert main(["suite", "laws"]) == 0
+    for command in COMMANDS:
+        assert main(shlex.split(command)) == 0, command
     capsys.readouterr()
     for family in FAMILIES:
         axiom_suite(make_space(family))
@@ -540,7 +556,7 @@ def test_no_step_operand_reaches_the_probe_set(monkeypatch, capsys):
             t = get_tnorm(tname)
             assert compare_leq(sup_conv(t, Ratio(a), Ratio(b)), Ratio(a + b)).holds
             assert compare_leq(Ratio(a + b), inf_conv(t, Ratio(a), Ratio(b))).holds
-    assert seen == []
+    assert seen == [] and probe_sets == []
 
 
 def _chain(tname, scales):
@@ -560,7 +576,10 @@ def test_the_generator_rule_against_a_dense_scan(monkeypatch, tname, scales):
     # the rule holds with no read, and the computed F exceeds G nowhere by
     # more than the two sides' rounding near 1: at most 3 half-ulps of 1
     # for three scales, so 2 ulps of 1 is allowed.  At C (1 + 1e-6) F - G
-    # passes 1e-13 near x = 1e6 C
+    # passes 1e-13 near x = 1e6 C, and the probe set, whose powers of 2
+    # reach the largest float, reads a failure there: 4e-13 to 2e-12 at a
+    # power of 2 near 2^22 to 2^24 times the scales, also with every
+    # scale times 1e10
     f = _chain(tname, scales)
     big_c = sum(map(math.sqrt, scales)) ** 2
     xs = big_c * np.geomspace(1e-6, 1e14, 200_001)
@@ -572,6 +591,11 @@ def test_the_generator_rule_against_a_dense_scan(monkeypatch, tname, scales):
     monkeypatch.setattr(distfn, "_compare_sampled", sampled)
     assert not distfn._generator_holds(scales, above.beta)
     assert np.max(f.eval_many(xs) - above.eval_many(xs)) > 1e-13
+    for m in (1.0, 1e10):
+        f = _chain(tname, tuple(m * a for a in scales))
+        g = Ratio(sum(math.sqrt(m * a) for a in scales) ** 2 * (1.0 + 1e-6))
+        c = compare_leq(f, g)
+        assert not c.holds and c.gap > 4e-13 and f.eval(c.witness) - g.eval(c.witness) == c.gap
 
 
 def _exactly_below(c, scales):
@@ -709,23 +733,22 @@ def test_order_check_on_large_grids_matches_the_probe_path():
             _check_step_pair(a, b, 1e-6)
 
 
-def _merged_probe_xs_by_sets(f, g=None, extra=()):
+_POWERS_OF_2 = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+
+
+def _merged_probe_xs_by_sets(*fns, extra=()):
     """The probe set built with Python sets and sorted lists: the
     reference for the array builder."""
     pts = {0.0}
-    fns = (f,) if g is None else (f, g)
     for fn in fns:
         pts.update(float(x) for x in fn.probe_xs())
     pts.update(float(x) for x in extra)
-    if any(fn.has_continuous_part for fn in fns):
+    if not all(isinstance(fn, Step) for fn in fns):
         pts.update(distfn.COMPARE_FILL.points().tolist())
     base = sorted(p for p in pts if p >= 0.0 and not math.isinf(p))
-    mids = [(a + b) / 2.0 for a, b in zip(base, base[1:])]
-    tail = base[-1] if base else 0.0
-    far = 2.0 * tail + 2.0
-    if far == INF:
-        far = math.nextafter(tail, INF)
-    return np.array(sorted(set(base + mids + [tail + 1.0, far])))
+    xs = {*base, *((a + b) / 2.0 for a, b in zip(base, base[1:])), _LARGEST}
+    least = min(x for x in xs if x > 0.0)
+    return np.array(sorted(xs.union(p for p in _POWERS_OF_2 if p > least)))
 
 
 def _random_operand(rng: random.Random):
@@ -743,13 +766,13 @@ def _random_operand(rng: random.Random):
 
 
 def test_probe_set_matches_the_set_built_reference():
-    # same values, same order, +0.0 for a -0.0 probe, and the inf midpoint
-    # of two abscissae near the largest float
+    # same values, same order, +0.0 for a -0.0 probe, the inf midpoint of
+    # two abscissae near the largest float, and the powers of 2 from the
+    # least positive point up to 2^1023 before the largest float
     rng = random.Random(14)
     inf_mids = 0
     for _ in range(3000):
-        f, g = _random_operand(rng), _random_operand(rng)
-        args = (f,) if rng.random() < 0.2 else (f, g)
+        args = tuple(_random_operand(rng) for _ in range(rng.choice((1, 2, 2, 3))))
         extra = [rng.choice((-0.0, -1.0, rng.uniform(0.0, 9.0))) for _ in range(rng.randrange(3))]
         got = distfn.merged_probe_xs(*args, extra=extra)
         want = _merged_probe_xs_by_sets(*args, extra=extra)
@@ -839,22 +862,37 @@ def test_scale_arg_takes_the_limit_when_scaling_underflows():
     assert Ratio(1e-300).scale_arg(1e-300) == EPS0
 
 
-def test_grid_scale_arg_equals_the_step_route():
-    # the arrays scaled directly give the Grid that make_step builds from
-    # the scaled jumps: zero-height jumps drop, overflowed ones too, and
-    # jumps that round onto one abscissa merge
+def _grid_scale_arg_by_arrays(g: Grid, a: float):
+    """make_step's pass on a Grid's arrays: jumps that add no height or
+    overflow drop, and those that round onto one abscissa merge into the
+    first.  The reference for the Step route that ``Grid.scale_arg``
+    takes."""
+    xs, levels = g.arrays
+    with np.errstate(over="ignore"):
+        bps = xs * a
+    keep = (levels[1:] > levels[:-1]) & (bps < INF)
+    bps, vs = bps[keep], levels[1:][keep]
+    new = bps[1:] != bps[:-1]
+    return Grid(bps[np.insert(new, 0, True)], vs[np.append(new, True)]) if bps.size else EPS_INF
+
+
+def test_grid_scale_arg_equals_the_array_pass():
+    # the Step route gives the Grid of the arrays scaled directly: zero-
+    # height jumps drop, overflowed ones too, and jumps that round onto
+    # one abscissa merge, to the sign bit of a zero abscissa
     rng = np.random.default_rng(23)
-    for k in range(200):
+    scales = (1e-300, 1e-30, 0.5, 3.0, 1e300)
+    for k in range(4000):
         n = int(rng.integers(1, 40))
-        xs = np.sort(rng.choice(np.geomspace(1e-310, 1e308, 4000), size=n, replace=False))
+        xs = np.sort(rng.choice(np.geomspace(1e-320, 1e308, 4000), size=n, replace=False))
         if k % 4 == 0:
             xs[0] = rng.choice((0.0, -0.0))
         vs = np.sort(rng.choice(np.arange(0, 9), size=n)) / 8.0  # repeated values
         g = Grid(xs, vs)
-        for a in (1e-300, 1e-30, 0.5, 3.0, 1e300):
-            got, want = g.scale_arg(a), distfn._sampled(Step.scale_arg(g, a))
-            assert type(got) is type(want) and got == want, (g, a)
-            assert np.array_equal(np.signbit(got.breakpoints), np.signbit(want.breakpoints))
+        a = scales[k % 5] if k % 2 else float(10.0 ** rng.uniform(-300.0, 300.0))
+        got, want = g.scale_arg(a), _grid_scale_arg_by_arrays(g, a)
+        assert type(got) is type(want) and got == want, (g, a)
+        assert np.array_equal(np.signbit(got.breakpoints), np.signbit(want.breakpoints))
 
 
 def test_rising_list_is_make_step_on_ascending_jumps():
@@ -1030,7 +1068,7 @@ def test_a_sampled_minimum_has_the_least_operand_plateau():
         assert m.xs[-1] == _LARGEST and m.xs[-2] >= 2.0**1023
         xs = np.array([*m.xs, *np.geomspace(1e-3, 1e300, 301)])
         assert np.all(m.eval_many(xs) <= np.min([f.eval_many(xs) for f in fns], axis=0) + np.spacing(1.0)), fns
-    assert max_tf(Ratio(1.0), eps(1.0)).plateau == 1.0 and len(max_tf(Ratio(1.0), eps(1.0)).xs) == 2472
+    assert max_tf(Ratio(1.0), eps(1.0)).plateau == 1.0 and len(max_tf(Ratio(1.0), eps(1.0)).xs) == 2493
 
 
 def test_pointwise_min_of_ratios():
