@@ -18,7 +18,6 @@ from pncalc.pnspace import FAMILIES, axiom_suite, make_space
 from pncalc.tnorms import get_tnorm
 from pncalc.topology import SequenceSpec
 from pncalc.triangle import LazyConv, inf_conv, sup_conv
-from test_readme_reports import COMMANDS
 from pncalc.distfn import (
     EPS0,
     EPS_INF,
@@ -37,6 +36,7 @@ from pncalc.distfn import (
     max_tf,
     pointwise_min,
 )
+from test_readme_reports import COMMANDS
 
 INF = math.inf
 _LARGEST = sys.float_info.max
