@@ -876,7 +876,7 @@ def _grid_scale_arg_by_arrays(g: Grid, a: float):
     return Grid(bps[np.insert(new, 0, True)], vs[np.append(new, True)]) if bps.size else EPS_INF
 
 
-def test_grid_scale_arg_equals_the_array_pass():
+def test_grid_scale_arg_equals_the_step_route():
     # the Step route gives the Grid of the arrays scaled directly: zero-
     # height jumps drop, overflowed ones too, and jumps that round onto
     # one abscissa merge, to the sign bit of a zero abscissa
