@@ -61,7 +61,7 @@ X_MIN_FRAC = 1e-6
 #: of looping: the pairs of jumps a convolution sums, the jumps a minimum
 #: merges, or the jumps of an order check's Step side.  An array sweep pays
 #: 12-25 us of numpy calls at these sizes; a loop, which builds its Step
-#: in one list pass (``_rising_list``), about 0.25-0.55 us per pair, 1 us
+#: as it sweeps, about 0.25-0.55 us per pair, 1 us
 #: per jump of a minimum and 0.45 us per order-check read against a Step
 #: or a Ratio.  The crossovers measured at 25-36 pairs, 20-24 jumps and
 #: 28-32 reads, and the unit steps of the axiom batteries and the suites
@@ -120,7 +120,11 @@ class DistFn:
     __call__ = eval
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+        """F at every entry of xs, an array of any shape, by ``_eval_array``."""
+        return self._eval_array(np.asarray(xs, dtype=float))
+
+    def _eval_array(self, xs: np.ndarray) -> np.ndarray:
+        # the conventions on a mask, and _eval_pos_many on the rest
         fin = (xs > 0.0) & (xs < INF)
         if fin.all():  # no argument to mask out
             return self._eval_pos_many(xs.ravel()).reshape(xs.shape)
@@ -178,6 +182,8 @@ class Step(DistFn):
             raise ValueError("levels must have exactly one more entry than breakpoints")
         if self.levels[0] != 0.0:
             raise ValueError("base level must be 0")
+        if math.copysign(1.0, self.levels[0]) < 0.0:  # F(x) = +0.0 at x <= 0, as eval reads it
+            object.__setattr__(self, "levels", (0.0, *self.levels[1:]))
         prev_b = -INF
         for b in self.breakpoints:
             if not (b >= 0.0) or math.isinf(b):
@@ -203,9 +209,17 @@ class Step(DistFn):
         bps.flags.writeable = levels.flags.writeable = False
         return bps, levels
 
-    def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
+    def _eval_array(self, xs: np.ndarray) -> np.ndarray:
+        """One search over all of xs: as every jump is >= 0, an x <= 0 lands
+        on levels[0] = 0, and only +inf (1) and NaN (0) are patched."""
         bps, levels = self.arrays
-        return levels[np.searchsorted(bps, xs, side="left")]
+        out = np.asarray(levels[np.searchsorted(bps, xs)])  # 0-d for a 0-d xs
+        if not xs.max(initial=-INF) < INF:  # a +inf or a NaN, which max propagates
+            top = ~(xs < INF)
+            out[top] = xs[top] == INF
+        return out
+
+    _eval_pos_many = _eval_array
 
     @property
     def plateau(self) -> float:
@@ -235,10 +249,6 @@ class Plateau(Step):
     @property
     def gamma(self) -> float:
         return self.levels[1]
-
-    def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
-        # constant: a fill, with no search over the one jump
-        return np.full(xs.shape, self.gamma)
 
     def scale_arg(self, a: float) -> "Plateau":
         self._check_scale(a)
@@ -453,7 +463,8 @@ class Comparison(NamedTuple):
 
 def merged_probe_xs(*fns: DistFn, extra=()) -> np.ndarray:
     """The abscissae that every sampled path reads: 0, the operands' probe
-    points and ``extra`` with their midpoints, the comparison fill when an
+    points and ``extra`` with their midpoints (a/2 + b/2 where a + b
+    overflows, so that no read lands on +inf), the comparison fill when an
     operand is not a Step, and the powers of 2 from the least positive
     point up to 2^1023, then the largest float, so that a gap past the
     last probe point is read too."""
@@ -465,6 +476,8 @@ def merged_probe_xs(*fns: DistFn, extra=()) -> np.ndarray:
     base = np.unique(pts[(pts >= 0.0) & (pts < INF)]) + 0.0
     with np.errstate(over="ignore"):  # two abscissae near the largest float
         mids = (base[:-1] + base[1:]) / 2.0
+    over = mids == INF
+    mids[over] = base[:-1][over] / 2.0 + base[1:][over] / 2.0
     xs = np.unique(np.concatenate([base, mids, (_LARGEST,)]))  # xs[0] is 0
     return np.union1d(xs, np.ldexp(1.0, np.arange(np.frexp(xs[1])[1], 1024)))
 
@@ -474,8 +487,9 @@ def compare_leq(f: DistFn, g: DistFn, tol: float = 0.0) -> Comparison:
     unless one is passed.
 
     A lazy result whose form is a Ratio or a Step is read as that form.
-    A pair with a Step on either side (a Plateau or a Grid among them) is
-    read once per cell of the Step side, by ``_compare_step_side``.  For F
+    Two Steps with the same jumps and levels hold at a tolerance >= 0 with
+    no read.  A pair with a Step on either side (a Plateau or a Grid among
+    them) is read once per cell of the Step side, by ``_compare_step_side``.  For F
     a Ratio or a sup:prod or sup:Lukasiewicz chain of them, F <= Ratio(c)
     holds with no read by ``_generator_holds``, or else, for F = Ratio(a),
     fails by (sqrt c - sqrt a)/(sqrt c + sqrt a) at sqrt(ac).  Any other
@@ -483,6 +497,9 @@ def compare_leq(f: DistFn, g: DistFn, tol: float = 0.0) -> Comparison:
     """
     f, g = _exact_form(f), _exact_form(g)
     if isinstance(f, Step) or isinstance(g, Step):
+        if (tol >= 0.0 and isinstance(f, Step) and isinstance(g, Step)
+                and f.breakpoints == g.breakpoints and f.levels == g.levels):
+            return Comparison(True, None, 0.0)  # what the reads find: every F - G is 0
         return _compare_step_side(f, g, tol)
     scales = getattr(getattr(f, "closed", f), "scales", None)  # a Ratio's or a lazy chain's
     if isinstance(g, Ratio) and scales and tol >= 0.0 and _generator_holds(scales, g.beta):
@@ -523,24 +540,27 @@ def _exact_form(f: DistFn) -> DistFn:
     return closed if isinstance(closed, (Ratio, Step)) else f
 
 
-def _read_gap(f: DistFn, g: DistFn, xs, tol: float) -> Comparison:
+def _read_gap(f: DistFn, g: DistFn, xs, tol: float, fs=None, gs=None) -> Comparison:
     """The order test F <= G + tol read at the abscissae xs, which the
     caller picks where F - G is largest.  The gap is the first largest
     F - G read, floored by the 0 that both operands read at x = 0, and
     the abscissa where it is read is the witness: F(witness) - G(witness)
-    is the gap, and a gap of 0 is read at x = 0.  A list of reads of two
-    Steps or Ratios, each at a finite x >= 0, loops over ``_eval_pos``;
+    is the gap, and a gap of 0 is read at x = 0.  ``fs`` or ``gs`` are
+    F's or G's values at xs when the caller holds them.  A list of reads of
+    two Steps or Ratios, each at a finite x >= 0, loops over ``_eval_pos``;
     any other reads are one ``eval_many`` per operand.
     """
     gap, witness = 0.0, 0.0  # the floor
     if isinstance(xs, list) and isinstance(f, (Step, Ratio)) and isinstance(g, (Step, Ratio)):
-        for x in xs:
-            d = f._eval_pos(x) - g._eval_pos(x)
+        fs = map(f._eval_pos, xs) if fs is None else fs
+        gs = map(g._eval_pos, xs) if gs is None else gs
+        for x, a, b in zip(xs, fs, gs):
+            d = a - b
             if d > gap:
                 gap, witness = d, x
     else:
         xs = np.asarray(xs, dtype=float)
-        d = f.eval_many(xs) - g.eval_many(xs)
+        d = (f.eval_many(xs) if fs is None else fs) - (g.eval_many(xs) if gs is None else gs)
         if d.size:  # a Step F with no jump has no cell to read
             k = int(np.argmax(d))
             if d[k] > gap:
@@ -556,24 +576,33 @@ def _compare_sampled(f: DistFn, g: DistFn, tol: float) -> Comparison:
 def _compare_step_side(f: DistFn, g: DistFn, tol: float) -> Comparison:
     """The order test with a Step on either side, exact: both operands are
     read once per cell of the Step side, at the float where F - G is
-    largest on it, as both are nondecreasing and left-continuous.
+    largest on it, as both are nondecreasing and left-continuous.  There
+    the Step side's values are its own levels, and ``_read_gap`` reads the
+    other operand.
 
-    When F is a Step, each cell (b, b'] of F, where F is constant, is read
-    at the next float above b: a Step G is least there, at G(b+), and a
-    continuous G within one ulp of its rise.  A jump at the largest float
-    has an empty cell: it reads at itself, on the cell below, no more than
-    that cell's own read.  When only G is a Step, F is largest on G's cell
-    (c', c] at its jump c, where G still has its level before c, and on
-    the last cell (c, inf) at the largest float, against G's plateau;
-    past a jump at the largest float that read repeats the jump's.  Below
+    When F is a Step, each cell (b, b'] of F is read at the next float
+    above b, at the level after b: a Step G is least there, at G(b+), and
+    a continuous G within one ulp of its rise.  A jump at the largest
+    float has an empty cell: it reads at itself the level below, no more
+    than the cell below reads.  When only G is a Step, F is largest on
+    G's cell (c', c] at its jump c, against the level before c, and on the
+    last cell (c, inf) at the largest float, against G's plateau, which
+    past a jump at the largest float reads no more than the jump.  Below
     ``_ARRAY_MIN`` jumps the reads are a list, from there on an array.
     """
-    s = f if isinstance(f, Step) else g
-    if len(s.breakpoints) < _ARRAY_MIN:
-        xs = [math.nextafter(b, _LARGEST) for b in s.breakpoints] if s is f else [*s.breakpoints, _LARGEST]
-    else:
-        xs = np.nextafter(s.arrays[0], _LARGEST) if s is f else np.append(s.arrays[0], _LARGEST)
-    return _read_gap(f, g, xs, tol)
+    if isinstance(f, Step):
+        bps = f.breakpoints
+        if len(bps) < _ARRAY_MIN:
+            xs, fs = [math.nextafter(b, _LARGEST) for b in bps], f.levels[1:]
+        else:
+            xs, fs = np.nextafter(f.arrays[0], _LARGEST), f.arrays[1][1:]
+        if bps and bps[-1] == _LARGEST:  # its empty cell reads the level below
+            fs = [*fs[:-1], f.levels[-2]]
+        return _read_gap(f, g, xs, tol, fs)
+    bps = g.breakpoints
+    if len(bps) < _ARRAY_MIN:
+        return _read_gap(f, g, [*bps, _LARGEST], tol, gs=g.levels)
+    return _read_gap(f, g, np.append(g.arrays[0], _LARGEST), tol, gs=g.arrays[1])
 
 
 def check_tol(tol: float) -> None:

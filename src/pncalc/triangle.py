@@ -16,8 +16,9 @@ max of the post-jump T values over the sums below each cell (sup), or a
 running min of the pre-jump S values over the sums at or above it (inf).
 From ``_ARRAY_MIN`` pairs of jumps on, the sweep runs on arrays: the n m
 sums in a stable sort, one ``np.maximum.accumulate`` (from the top for
-the inf) and one level per distinct sum; below it, a loop over a dict of
-the sums, which costs less on the few jumps of unit steps.
+the inf) and one level per distinct sum; below it, a dict of the largest
+value at each sum and one loop over the sorted sums that builds the Step
+as it goes, which costs less on the few jumps of unit steps.
 
 Otherwise the result is a ``LazyConv``, evaluated on demand.  With a
 Step F on one side (a Plateau, a Grid or eps(inf) among them), each
@@ -70,7 +71,9 @@ kinds.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -121,12 +124,14 @@ def _conv_loop(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:
             if v > best.get(s, -1.0):
                 best[s] = v
     sums = sorted(best)
-    run = 0.0 if maximize else -min(a.plateau, b.plateau)
-    levels = [run]
-    for s in sums if maximize else reversed(sums):
-        run = max(run, best[s])
-        levels.append(run)
-    return _rising_list(sums, levels[1:] if maximize else [-v for v in reversed(levels[:-1])])
+    if maximize:
+        # the running max of the values tops the last level kept exactly
+        # where a sum's own value does, so the one pass reads the values
+        return _rising_list(sums, map(best.__getitem__, sums))
+    # the level from a sum up to the next: the negated running max, from
+    # the top, of the floor and the values of the sums above it
+    above = itertools.accumulate(map(best.__getitem__, reversed(sums[1:])), max, initial=-min(a.plateau, b.plateau))
+    return _rising_list(sums, map(operator.neg, reversed([*above])))
 
 
 def _conv_array(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:

@@ -259,6 +259,33 @@ def test_eval_many_matches_scalar():
         assert np.allclose(f.eval_many(xs), [f.eval(x) for x in xs])
 
 
+_EDGE_XS = [-INF, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.25, 1.0, 2.0,
+            1e308, _LARGEST, INF, math.nan]
+
+
+def test_step_eval_many_is_the_masked_read_and_eval_bit_for_bit():
+    # one search over all of xs, with only +inf and NaN patched, equals the
+    # masked read it replaces and eval at each point, to the sign of a zero
+    # (NaN, which eval rejects, reads 0); in 1-D, in 2-D and at a 0-d xs
+    rng = random.Random(41)
+    operands = [EPS0, EPS_INF, Plateau(0.0), Plateau(0.4), Step((-0.0,), (-0.0, 0.5)), Step((0.0, _LARGEST), (0.0, 0.5, 1.0)),
+                Grid((5e-324, 1.0), (0.25, 0.75))]
+    operands += [_random_step_or_grid(rng) for _ in range(400)]
+    for f in operands:
+        xs = np.array(rng.sample(_EDGE_XS, 8) + [rng.uniform(-2.0, 8.0) for _ in range(4)])
+        want = np.array([0.0 if math.isnan(x) else f.eval(x) for x in xs])
+        for arr, ref in ((xs, want), (xs.reshape(3, 4), want.reshape(3, 4))):
+            got = f.eval_many(arr)
+            assert got.shape == arr.shape and got.tobytes() == ref.tobytes(), (f, arr)
+            assert got.tobytes() == distfn.DistFn._eval_array(f, arr).tobytes(), (f, arr)
+        for x, v in zip(xs[:3], want):
+            one = f.eval_many(x)
+            assert one.shape == () and one.tobytes() == v.tobytes(), (f, x)
+    # a base level of -0.0 is stored as +0.0, which eval reads at x <= 0
+    assert Step((1.0,), (-0.0, 1.0)).levels == (0.0, 1.0)
+    assert math.copysign(1.0, Step((1.0,), (-0.0, 1.0)).eval(0.5)) == 1.0
+
+
 # ------------------------------------------------------------ order
 
 def test_step_order_reverses_threshold():
@@ -531,6 +558,58 @@ def test_order_check_edge_cases_of_a_step_side():
     assert compare_leq(Ratio(1.0), Step((-0.0,), (0.0, 0.5))) == distfn.Comparison(False, _LARGEST, 0.5)
 
 
+def _bisect_reads(f, g, tol, as_list):
+    """The Step-side check with both operands read at its abscissae, the
+    Step side by bisection, not from its levels."""
+    s = f if isinstance(f, Step) else g
+    xs = [math.nextafter(b, _LARGEST) for b in s.breakpoints] if s is f else [*s.breakpoints, _LARGEST]
+    return distfn._read_gap(f, g, xs if as_list else np.array(xs, dtype=float), tol)
+
+
+def test_step_side_levels_equal_the_bisect_reads():
+    # the Step side's values taken from its levels, on the loop and on the
+    # array side, equal reading it at each abscissa, to the witness and
+    # the sign of the gap; jumps at -0.0, 0 and the largest float included
+    rng = random.Random(43)
+    tops = 0
+    for _ in range(3000):
+        step = _random_step_or_grid(rng)
+        if rng.random() < 0.2:
+            step = make_step([*step.breakpoints, _LARGEST], [*step.levels, 1.0])
+        tops += bool(step.breakpoints) and step.breakpoints[-1] == _LARGEST
+        other = rng.choice((_random_step_or_grid(rng), Ratio(10.0 ** rng.uniform(-2.0, 2.0)), _smooth_operand(rng)))
+        for f, g in ((step, other), (other, step)):
+            tol = rng.choice((0.0, 1e-9, 0.3))
+            loop, arrays = _both_reads(f, g, tol)
+            assert repr(loop) == repr(_bisect_reads(f, g, tol, True)), (f, g, tol)
+            assert repr(arrays) == repr(_bisect_reads(f, g, tol, not step.breakpoints)), (f, g, tol)
+    assert tops > 300
+
+
+def test_equal_steps_hold_with_no_read(monkeypatch):
+    # two Steps with equal jumps and levels (a Grid, a -0.0 jump or level
+    # among them) hold at tol >= 0 as the read path finds; at tol < 0 they
+    # are read and fail with a gap of 0
+    rng = random.Random(44)
+    pairs = [(Step((-0.0, 1.0), (0.0, 0.5, 1.0)), Step((0.0, 1.0), (0.0, 0.5, 1.0))),
+             (Step((1.0, 2.0), (0.0, -0.0, 0.5)), Step((1.0, 2.0), (0.0, 0.0, 0.5))), (EPS_INF, Step((), (0.0,)))]
+    for _ in range(500):
+        f = _random_step_or_grid(rng)
+        pairs.append((f, Step(f.breakpoints, f.levels)))
+        if f.breakpoints:
+            pairs.append((f, Grid(f.breakpoints, f.levels[1:])))
+    step_side = distfn._compare_step_side
+    for f, g in pairs:
+        for tol in (0.0, 1e-9, 0.3, -1e-3):
+            want = step_side(f, g, tol)
+            monkeypatch.setattr(distfn, "_compare_step_side", lambda *a: pytest.fail("read an equal pair"))
+            if tol >= 0.0:
+                assert repr(compare_leq(f, g, tol)) == repr(want) == repr(distfn.Comparison(True, None, 0.0))
+            monkeypatch.setattr(distfn, "_compare_step_side", step_side)
+            if tol < 0.0:
+                assert compare_leq(f, g, tol) == want and not want.holds and want.gap == 0.0
+
+
 def test_no_step_operand_reaches_the_probe_set(monkeypatch, capsys):
     # the suites, every README command, every family's axiom battery, E25's
     # convergent-set bound and the chains of two Ratios against the Ratio
@@ -737,8 +816,9 @@ _POWERS_OF_2 = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
 
 
 def _merged_probe_xs_by_sets(*fns, extra=()):
-    """The probe set built with Python sets and sorted lists: the
-    reference for the array builder."""
+    """The probe set built with Python sets and sorted lists, the
+    reference for the array builder, and how many of its midpoints are
+    taken as a/2 + b/2, where a + b overflows."""
     pts = {0.0}
     for fn in fns:
         pts.update(float(x) for x in fn.probe_xs())
@@ -746,9 +826,11 @@ def _merged_probe_xs_by_sets(*fns, extra=()):
     if not all(isinstance(fn, Step) for fn in fns):
         pts.update(distfn.COMPARE_FILL.points().tolist())
     base = sorted(p for p in pts if p >= 0.0 and not math.isinf(p))
-    xs = {*base, *((a + b) / 2.0 for a, b in zip(base, base[1:])), _LARGEST}
+    pairs = list(zip(base, base[1:]))
+    halved = sum(a + b == INF for a, b in pairs)
+    xs = {*base, *((a + b) / 2.0 if a + b < INF else a / 2.0 + b / 2.0 for a, b in pairs), _LARGEST}
     least = min(x for x in xs if x > 0.0)
-    return np.array(sorted(xs.union(p for p in _POWERS_OF_2 if p > least)))
+    return np.array(sorted(xs.union(p for p in _POWERS_OF_2 if p > least))), halved
 
 
 def _random_operand(rng: random.Random):
@@ -766,19 +848,21 @@ def _random_operand(rng: random.Random):
 
 
 def test_probe_set_matches_the_set_built_reference():
-    # same values, same order, +0.0 for a -0.0 probe, the inf midpoint of
-    # two abscissae near the largest float, and the powers of 2 from the
-    # least positive point up to 2^1023 before the largest float
+    # same values, same order, +0.0 for a -0.0 probe, the midpoint a/2 +
+    # b/2 of two abscissae near the largest float, whose sum overflows, so
+    # that no point is +inf, and the powers of 2 from the least positive
+    # point up to 2^1023 before the largest float
     rng = random.Random(14)
-    inf_mids = 0
+    halved_sets = 0
     for _ in range(3000):
         args = tuple(_random_operand(rng) for _ in range(rng.choice((1, 2, 2, 3))))
         extra = [rng.choice((-0.0, -1.0, rng.uniform(0.0, 9.0))) for _ in range(rng.randrange(3))]
         got = distfn.merged_probe_xs(*args, extra=extra)
-        want = _merged_probe_xs_by_sets(*args, extra=extra)
+        want, halved = _merged_probe_xs_by_sets(*args, extra=extra)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), args
-        inf_mids += bool(np.isinf(got).any())
-    assert inf_mids > 10
+        assert not np.isinf(got).any(), args
+        halved_sets += halved > 0
+    assert halved_sets > 10
 
 
 # ------------------------------------------------------------ levy distance

@@ -184,6 +184,27 @@ def test_array_sweep_equals_the_loop_above_the_switch(name):
     assert sup_conv(t, Plateau(0.0), b) == EPS_INF
 
 
+@pytest.mark.parametrize("name", ["min", "prod", "lukasiewicz", "t2"])
+def test_loop_sweep_equals_the_array_sweep_below_the_switch(name):
+    # the loop's one-pass sweep, which builds its Step as it goes, gives
+    # the array sweep's Step bit for bit below _ARRAY_MIN pairs: down to
+    # the sign of a zero abscissa, and where sums overflow to +inf
+    t = get_tnorm(name)
+    rng = np.random.default_rng(19)
+    overflows = zeros = 0
+    for k in range(400):
+        a = Plateau(float(rng.random())) if k % 20 == 0 else _wide_step(rng, int(rng.integers(3, 6)))
+        b = _wide_step(rng, int(rng.integers(3, 7)))
+        assert len(a.breakpoints) * len(b.breakpoints) < _ARRAY_MIN
+        overflows += a.breakpoints[-1] + b.breakpoints[-1] == INF
+        for maximize in (True, False):
+            got = _conv_loop(t, a, b, maximize)
+            assert repr(got) == repr(_conv_array(t, a, b, maximize)), (a, b, maximize)
+            assert repr((sup_conv if maximize else inf_conv)(t, a, b)) == repr(got)
+            zeros += bool(got.breakpoints) and str(got.breakpoints[0]) == "-0.0"
+    assert overflows > 50 and zeros > 10
+
+
 # ------------------------------------------------------------ sup path
 
 def test_sup_conv_of_unit_steps_adds_thresholds():
