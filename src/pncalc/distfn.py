@@ -496,10 +496,11 @@ def compare_leq(f: DistFn, g: DistFn, tol: float = 0.0) -> Comparison:
     pair is read at the merged probe set.
     """
     f, g = _exact_form(f), _exact_form(g)
-    if isinstance(f, Step) or isinstance(g, Step):
-        if (tol >= 0.0 and isinstance(f, Step) and isinstance(g, Step)
-                and f.breakpoints == g.breakpoints and f.levels == g.levels):
+    if isinstance(f, Step):
+        if isinstance(g, Step) and f.breakpoints == g.breakpoints and f.levels == g.levels and tol >= 0.0:
             return Comparison(True, None, 0.0)  # what the reads find: every F - G is 0
+        return _compare_step_side(f, g, tol)
+    if isinstance(g, Step):
         return _compare_step_side(f, g, tol)
     scales = getattr(getattr(f, "closed", f), "scales", None)  # a Ratio's or a lazy chain's
     if isinstance(g, Ratio) and scales and tol >= 0.0 and _generator_holds(scales, g.beta):
@@ -545,17 +546,15 @@ def _read_gap(f: DistFn, g: DistFn, xs, tol: float, fs=None, gs=None) -> Compari
     caller picks where F - G is largest.  The gap is the first largest
     F - G read, floored by the 0 that both operands read at x = 0, and
     the abscissa where it is read is the witness: F(witness) - G(witness)
-    is the gap, and a gap of 0 is read at x = 0.  ``fs`` or ``gs`` are
-    F's or G's values at xs when the caller holds them.  A list of reads of
-    two Steps or Ratios, each at a finite x >= 0, loops over ``_eval_pos``;
-    any other reads are one ``eval_many`` per operand.
+    is the gap, and a gap of 0 is read at x = 0.  A list of reads of two
+    Steps or Ratios, each at a finite x >= 0, loops over ``_eval_pos``;
+    any other reads are one ``eval_many`` per operand, but for an operand
+    whose values at the array xs the caller holds, as ``fs`` or ``gs``.
     """
     gap, witness = 0.0, 0.0  # the floor
     if isinstance(xs, list) and isinstance(f, (Step, Ratio)) and isinstance(g, (Step, Ratio)):
-        fs = map(f._eval_pos, xs) if fs is None else fs
-        gs = map(g._eval_pos, xs) if gs is None else gs
-        for x, a, b in zip(xs, fs, gs):
-            d = a - b
+        for x in xs:
+            d = f._eval_pos(x) - g._eval_pos(x)
             if d > gap:
                 gap, witness = d, x
     else:
@@ -576,33 +575,32 @@ def _compare_sampled(f: DistFn, g: DistFn, tol: float) -> Comparison:
 def _compare_step_side(f: DistFn, g: DistFn, tol: float) -> Comparison:
     """The order test with a Step on either side, exact: both operands are
     read once per cell of the Step side, at the float where F - G is
-    largest on it, as both are nondecreasing and left-continuous.  There
-    the Step side's values are its own levels, and ``_read_gap`` reads the
-    other operand.
+    largest on it, as both are nondecreasing and left-continuous.
 
-    When F is a Step, each cell (b, b'] of F is read at the next float
-    above b, at the level after b: a Step G is least there, at G(b+), and
-    a continuous G within one ulp of its rise.  A jump at the largest
-    float has an empty cell: it reads at itself the level below, no more
-    than the cell below reads.  When only G is a Step, F is largest on
-    G's cell (c', c] at its jump c, against the level before c, and on the
-    last cell (c, inf) at the largest float, against G's plateau, which
-    past a jump at the largest float reads no more than the jump.  Below
-    ``_ARRAY_MIN`` jumps the reads are a list, from there on an array.
+    When F is a Step, each cell (b, b'] of F, where F is constant, is read
+    at the next float above b: a Step G is least there, at G(b+), and a
+    continuous G within one ulp of its rise.  A jump at the largest float
+    has an empty cell: it reads at itself, on the cell below, no more than
+    that cell's own read.  When only G is a Step, F is largest on G's cell
+    (c', c] at its jump c, where G still has its level before c, and on
+    the last cell (c, inf) at the largest float, against G's plateau;
+    past a jump at the largest float that read repeats the jump's, and
+    the plateau there reads no more.  Below ``_ARRAY_MIN`` jumps the reads
+    are a list; from there on an array, on which the Step side's values
+    are its own levels: F's after each jump (the level below it for a jump
+    at the largest float), G's before each jump and then its plateau.  On
+    the few jumps of a unit step a bisection per read costs less than
+    slicing out the levels.
     """
-    if isinstance(f, Step):
-        bps = f.breakpoints
-        if len(bps) < _ARRAY_MIN:
-            xs, fs = [math.nextafter(b, _LARGEST) for b in bps], f.levels[1:]
-        else:
-            xs, fs = np.nextafter(f.arrays[0], _LARGEST), f.arrays[1][1:]
-        if bps and bps[-1] == _LARGEST:  # its empty cell reads the level below
-            fs = [*fs[:-1], f.levels[-2]]
-        return _read_gap(f, g, xs, tol, fs)
-    bps = g.breakpoints
-    if len(bps) < _ARRAY_MIN:
-        return _read_gap(f, g, [*bps, _LARGEST], tol, gs=g.levels)
-    return _read_gap(f, g, np.append(g.arrays[0], _LARGEST), tol, gs=g.arrays[1])
+    s = f if isinstance(f, Step) else g
+    if len(s.breakpoints) < _ARRAY_MIN:
+        xs = [math.nextafter(b, _LARGEST) for b in s.breakpoints] if s is f else [*s.breakpoints, _LARGEST]
+        return _read_gap(f, g, xs, tol)
+    bps, levels = s.arrays
+    if s is g:
+        return _read_gap(f, g, np.append(bps, _LARGEST), tol, gs=levels)
+    fs = np.append(levels[1:-1], levels[-2]) if bps[-1] == _LARGEST else levels[1:]
+    return _read_gap(f, g, np.nextafter(bps, _LARGEST), tol, fs=fs)
 
 
 def check_tol(tol: float) -> None:

@@ -567,9 +567,10 @@ def _bisect_reads(f, g, tol, as_list):
 
 
 def test_step_side_levels_equal_the_bisect_reads():
-    # the Step side's values taken from its levels, on the loop and on the
-    # array side, equal reading it at each abscissa, to the witness and
-    # the sign of the gap; jumps at -0.0, 0 and the largest float included
+    # the array side, which takes the Step side's values from its levels,
+    # and the loop equal reading both operands at each abscissa, to the
+    # witness and the sign of the gap; jumps at -0.0, 0 and the largest
+    # float included
     rng = random.Random(43)
     tops = 0
     for _ in range(3000):
