@@ -128,7 +128,7 @@ class DistFn:
         fin = (xs > 0.0) & (xs < INF)
         if fin.all():  # no argument to mask out
             return self._eval_pos_many(xs.ravel()).reshape(xs.shape)
-        out = (xs == INF).astype(float)
+        out = np.array(xs == INF, dtype=float)  # a writable array, also 0-d
         out[fin] = self._eval_pos_many(xs[fin])
         return out
 
@@ -258,14 +258,14 @@ class Plateau(Step):
 #: probe ladder of Ratio(1); Ratio(beta) probes beta times it
 _RATIO_LADDER = np.geomspace(1e-3, 1e3, 25)
 
-#: x + beta stays finite at every finite x up to this scale; a Ratio above
-#: it reads at half scale, the same value, as halving is exact
-_HALF_SCALE_ABOVE = 2.0**969
-
 
 @dataclass(frozen=True)
 class Ratio(DistFn):
-    """F(x) = x / (x + beta) for x > 0; strictly increasing with plateau 1."""
+    """F(x) = x / (x + beta) for x > 0; strictly increasing with plateau 1.
+
+    Read as 1 / (1 + beta/x), x clamped to at least beta 2^-1023 so that
+    beta/x stays finite: each step is monotone in x, so F is nondecreasing
+    on floats, within 2 ulps of exact (2^-1022 below the least normal)."""
 
     beta: float
 
@@ -274,14 +274,14 @@ class Ratio(DistFn):
             raise ValueError(f"ratio scale must be positive and finite, got {self.beta!r}")
 
     def _eval_pos(self, x: float) -> float:
-        h = 0.5 if self.beta > _HALF_SCALE_ABOVE else 1.0  # times 1.0 is exact
-        return h * x / (h * x + h * self.beta)
+        if x == 0.0:  # the jump at 0 of a Step side, which _compare_step_side reads
+            return 0.0
+        return 1.0 / (1.0 + self.beta / max(x, self.beta * 2.0**-1023))
 
     def _eval_pos_many(self, xs: np.ndarray) -> np.ndarray:
-        if self.beta > _HALF_SCALE_ABOVE:
-            xs = 0.5 * xs
-            return xs / (xs + 0.5 * self.beta)
-        return xs / (xs + self.beta)
+        d = self.beta / np.maximum(xs, self.beta * 2.0**-1023)
+        d += 1.0
+        return np.reciprocal(d, out=d)
 
     @property
     def plateau(self) -> float:
@@ -300,11 +300,9 @@ class Ratio(DistFn):
         return Ratio(beta) if beta > 0.0 else EPS0
 
     def probe_xs(self) -> tuple[float, ...]:
-        if self.beta > _HALF_SCALE_ABOVE:  # the ladder points past the largest float drop out
-            with np.errstate(over="ignore"):
-                pts = self.beta * _RATIO_LADDER
-            return tuple(pts[pts < INF])
-        return tuple(self.beta * _RATIO_LADDER)
+        with np.errstate(over="ignore"):  # the ladder points past the largest float drop out
+            pts = self.beta * _RATIO_LADDER
+        return tuple(pts[pts < INF])
 
 
 class Grid(Step):
@@ -547,9 +545,10 @@ def _read_gap(f: DistFn, g: DistFn, xs, tol: float, fs=None, gs=None) -> Compari
     F - G read, floored by the 0 that both operands read at x = 0, and
     the abscissa where it is read is the witness: F(witness) - G(witness)
     is the gap, and a gap of 0 is read at x = 0.  A list of reads of two
-    Steps or Ratios, each at a finite x >= 0, loops over ``_eval_pos``;
-    any other reads are one ``eval_many`` per operand, but for an operand
-    whose values at the array xs the caller holds, as ``fs`` or ``gs``.
+    Steps or Ratios, each at a finite x >= 0 (0 for a Step G's jump at 0,
+    where a Ratio reads 0 too), loops over ``_eval_pos``; any other reads
+    are one ``eval_many`` per operand, but for an operand whose values at
+    the array xs the caller holds, as ``fs`` or ``gs``.
     """
     gap, witness = 0.0, 0.0  # the floor
     if isinstance(xs, list) and isinstance(f, (Step, Ratio)) and isinstance(g, (Step, Ratio)):
@@ -578,8 +577,9 @@ def _compare_step_side(f: DistFn, g: DistFn, tol: float) -> Comparison:
     largest on it, as both are nondecreasing and left-continuous.
 
     When F is a Step, each cell (b, b'] of F, where F is constant, is read
-    at the next float above b: a Step G is least there, at G(b+), and a
-    continuous G within one ulp of its rise.  A jump at the largest float
+    at the next float above b: a Step G is least there, at G(b+), and so is
+    a Ratio or a sup:Lukasiewicz chain G, nondecreasing on floats; a sup:prod
+    chain G is within a few ulps of its least.  A jump at the largest float
     has an empty cell: it reads at itself, on the cell below, no more than
     that cell's own read.  When only G is a Step, F is largest on G's cell
     (c', c] at its jump c, where G still has its level before c, and on

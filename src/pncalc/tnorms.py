@@ -10,6 +10,7 @@ of a conorm would lose an ulp.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +52,7 @@ class TNorm:
     def __call__(self, x: float, y: float) -> float:
         return float(self.fn_np(x, y))
 
-    @property
+    @functools.cached_property
     def conorm(self) -> "TConorm":
         return TConorm(self)
 

@@ -47,7 +47,11 @@ closed form (Dombi, Fuzzy Sets and Systems 8, 1982), R = sum sqrt(a_i):
                  B = sqrt(b) sqrt(x + a);  n >= 3: the
                  product at s_i = (sqrt(a_i^2 + 4 a_i nu^2) - a_i)/2,
                  nu the root of sum s_i = x
-    lukasiewicz  max(0, 1 - R^2/(x + sum a_i))         Ratio(max(a, b))
+    lukasiewicz  max(0, 1 - R (R/(x + sum a_i)))       Ratio(max(a, b))
+
+Read as written, and Ratio(b) as 1/(1 + b/x), each form but sup:prod is
+a chain of correctly rounded steps monotone in x, nondecreasing on floats;
+the sup:prod split s(x) is not, and its values can step down by a few ulps.
 
 The sup objective is log-concave under prod and concave under
 Lukasiewicz, so its stationary point is the maximum; the inf objective
@@ -166,22 +170,16 @@ class _Chain(DistFn):
         if self.tnorm.name == "lukasiewicz" or len(a) == 2:
             # the form reads x and the a_i only through their ratios, and
             # dividing all of them by 2^64 is exact (while they stay normal)
-            # and commutes with sqrt: where x + sum a_i or (sum sqrt a_i)^2
-            # could overflow, it is read there
+            # and commutes with sqrt: where a sum of x and the scales could
+            # overflow, it is read there
             r = [math.sqrt(b) for b in a]
             big = xs > 2.0**1000 if sum(r) < 2.0**500 else np.ones(xs.shape, bool)
             if big.any():
                 h = np.where(big, 2.0**-32, 1.0)
                 xs, a, r = xs * h * h, [b * h * h for b in a], [v * h for v in r]
             if self.tnorm.name == "lukasiewicz":
-                # R^2 - sum a_i as 2 sum_{i<j} sqrt(a_i) sqrt(a_j), with no cancellation
-                cross = run = 0.0
-                den = xs
-                for b, v in zip(a, r):
-                    cross += 2.0 * v * run
-                    run += v
-                    den = den + b
-                return np.maximum(0.0, (xs - cross) / den)
+                root = sum(r)  # each correctly rounded step below is monotone in x
+                return np.maximum(0.0, 1.0 - root * (root / sum(a, xs)))
             # the factors keep sqrt(a (x + b)) from overflowing at large x
             wa = r[0] * np.sqrt(xs + a[1])
             wb = r[1] * np.sqrt(xs + a[0])

@@ -42,6 +42,15 @@ def test_range_validation():
         conorm_eval(get_tnorm("prod"), 0.5, -0.1)
 
 
+def test_conorm_is_built_once_and_leaves_equality_and_hash_alone():
+    for name, t in TNORMS.items():
+        assert t.conorm is t.conorm and t.conorm.base is t, name
+        twin = TNorm(name, t.fn_np)  # a fresh instance, with no conorm read yet
+        assert twin == t and hash(twin) == hash(t), name
+        assert twin.conorm == t.conorm and twin.conorm is not t.conorm, name
+    assert TNorm("prod", np.multiply) != TNorm("min", np.minimum)
+
+
 @given(unit, unit)
 def test_duality_involution(x, y):
     for t in TNORMS.values():

@@ -823,8 +823,8 @@ def test_step_walk_reads_the_split_the_search_loses_to_rounding():
     # the sup at x = 4 sits at the split s = 3.5, where eps(0.5) has just
     # jumped; the search reached 0.7647 there
     r = sup_conv(get_tnorm("prod"), Ratio(1.0), eps(0.5))
-    assert r.eval(4.0) == 3.5 / 4.5
-    assert r.materialize(GridSpec(n=8, x_max=4.0)).vs[-1] == 3.5 / 4.5
+    assert r.eval(4.0) == Ratio(1.0).eval(3.5)
+    assert r.materialize(GridSpec(n=8, x_max=4.0)).vs[-1] == Ratio(1.0).eval(3.5)
 
 
 # ------------------------------------------------------------ law suite
