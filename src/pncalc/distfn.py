@@ -61,13 +61,13 @@ X_MIN_FRAC = 1e-6
 #: of looping: the pairs of jumps a convolution sums, the jumps a minimum
 #: merges, or the jumps of an order check's Step side.  An array sweep pays
 #: 12-25 us of numpy calls at these sizes; a loop, which builds its Step
-#: as it sweeps, about 0.25-0.55 us per pair, 1 us
-#: per jump of a minimum and 0.45 us per order-check read against a Step
-#: or a Ratio.  The crossovers measured at 25-36 pairs, 20-24 jumps and
-#: 28-32 reads, and the unit steps of the axiom batteries and the suites
-#: stay below the switch (a lazy operand, which costs a numpy call per
-#: read, is read at all of them in one).  Loop / array us at n jumps per
-#: operand (2-CPU shared x86 host, best of 9):
+#: as it sweeps, about 0.25-0.55 us per pair, 1 us per jump of a minimum
+#: and 0.45 us per order-check read against a Step or a Ratio (a lazy
+#: operand, which costs a numpy call per read, is read at all of them in
+#: one).  The crossovers measured at 25-36 pairs, 20-24 jumps and 28-32
+#: reads.  The unit steps of the axiom batteries stay below the switch;
+#: the suites' law batteries run on packed rows (``triangle._conv_rows``).
+#: Loop / array us at n jumps per operand (2-CPU shared x86 host, best of 9):
 #:
 #:     n    sup:prod convolution   minimum of two   order check
 #:     8          35 / 22              17 / 21          4 / 13

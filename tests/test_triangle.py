@@ -2,6 +2,7 @@
 the lazy closed forms against brute-force split oracles, unit and
 dominance laws, and the law suite."""
 
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,8 @@ from pncalc.distfn import (
     Plateau,
     Ratio,
     Step,
+    _LARGEST,
+    _min_steps,
     compare_leq,
     distfn_equal,
     eps,
@@ -38,6 +41,10 @@ from pncalc.triangle import (
     _StepWalk,
     _conv_array,
     _conv_loop,
+    _conv_rows,
+    _leq_rows,
+    _pack,
+    _unpack,
     inf_conv,
     parse_triangle,
     random_step_fn,
@@ -203,6 +210,73 @@ def test_loop_sweep_equals_the_array_sweep_below_the_switch(name):
             assert repr((sup_conv if maximize else inf_conv)(t, a, b)) == repr(got)
             zeros += bool(got.breakpoints) and str(got.breakpoints[0]) == "-0.0"
     assert overflows > 50 and zeros > 10
+
+
+def _edge_rows():
+    """Steps at the edges of the row kernels: a jump at 0 and at -0.0, the
+    minimal element, eps(0), jumps at and near the largest float, adjacent
+    floats, jumps near 2^1019 and 2^1023, whose sums overflow to +inf, and
+    levels whose prod conorm rounds below the larger one: 1 - (1 - 0.1)
+    (1 - 1e-17) < 0.1, which a padded jump must not bring in."""
+    rng = np.random.default_rng(23)
+    top = math.nextafter(_LARGEST, 0.0)
+    return [Plateau(0.35), Plateau(0.0), Plateau(1.0), EPS0, EPS_INF, eps(_LARGEST),
+            Step((0.0, _LARGEST), (0.0, 0.5, 1.0)), Step((-0.0, 1.5), (0.0, 0.25, 0.75)),
+            Step((top, _LARGEST), (0.0, 0.25, 1.0)), Step((1.0, math.nextafter(1.0, 2.0)), (0.0, 0.5, 0.625)),
+            Step((1.0,), (0.0, 0.1)), Step((1.0, 2.0), (0.0, 1e-17, 0.5)),
+            *(_wide_step(rng, int(rng.integers(3, 6))) for _ in range(12))]
+
+
+def _row_pairs(seed):
+    """Pairs of random and edge Steps of every width, in one batch."""
+    rng = np.random.default_rng(seed)
+    ops = _edge_rows() + [random_step_fn(rng) for _ in range(30)]
+    return [(a, b) for a in ops for b in ops]
+
+
+@pytest.mark.parametrize("name", ["min", "prod", "lukasiewicz", "t2"])
+def test_row_convolution_equals_the_single_pair_kernels(name):
+    # bit for bit, by repr: each row of the batch against the loop and the
+    # array sweep, on random, edge and second-level operands
+    t = get_tnorm(name)
+    pairs = _row_pairs(29)
+    fs, gs = (_pack(c) for c in zip(*pairs))
+    overflows = sum(a.breakpoints[-1] + b.breakpoints[-1] == INF for a, b in pairs if a.breakpoints and b.breakpoints)
+    ties = sum(len({x + y for x in a.breakpoints for y in b.breakpoints}) < len(a.breakpoints) * len(b.breakpoints)
+               for a, b in pairs)
+    assert overflows > 50 and ties > 100 and len({len(a.breakpoints) for a, _ in pairs}) >= 4  # widths 0 to 4
+    for maximize in (True, False):
+        rows = _conv_rows(t, fs, gs, maximize)
+        firsts = _unpack(rows)
+        for (a, b), got in zip(pairs, firsts):
+            want = _conv_loop(t, a, b, maximize)
+            assert repr(got) == repr(want), (name, maximize, a, b)
+            if a.breakpoints and b.breakpoints:  # the array sweep needs a sum
+                assert repr(got) == repr(_conv_array(t, a, b, maximize))
+        # the second level: up to 16 jumps against up to 4, one batch
+        for (a, b), first, got in zip(pairs, firsts, _unpack(_conv_rows(t, rows, gs, maximize))):
+            assert repr(got) == repr(_conv_loop(t, first, b, maximize)), (name, maximize, a, b)
+
+
+def test_row_minimum_equals_the_pointwise_minimum():
+    pairs = _row_pairs(31)
+    fs, gs = (_pack(c) for c in zip(*pairs))
+    for (a, b), got in zip(pairs, _unpack(TriangleFn("max").on_rows(fs, gs))):
+        assert repr(got) == repr(_min_steps([a, b])) == repr(max_tf(a, b)), (a, b)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.25, -1e-12])
+def test_row_order_read_equals_compare_leq(tol):
+    # against compare_leq's equal-Steps shortcut and its Step-side read,
+    # with jumps at the largest float and a negative tolerance
+    pairs = _row_pairs(37)
+    pairs += [(max_tf(a, b), a) for a, b in pairs[:400]] + [(a, a) for a, _ in pairs[:60]]
+    fs, gs = (_pack(c) for c in zip(*pairs))
+    got = _leq_rows(fs, gs, tol)
+    want = [compare_leq(a, b, tol).holds for a, b in pairs]
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want) if tol >= 0.0 else not any(want)  # a gap of 0 exceeds a negative tol
+    assert compare_leq(eps(_LARGEST), EPS_INF, tol).holds == (tol >= 0.0)  # reads its level below, at itself
 
 
 # ------------------------------------------------------------ sup path
@@ -867,6 +941,38 @@ def test_law_suite_of_many_taus_equals_one_call_per_tau():
         assert reps == [tf_law_suite([tau], n_samples=20, seed=7, unit=unit)[0] for tau in taus]
         assert [r.unit.ok for r in reps] == [unit is EPS0] * 5 + [True]  # the projection keeps F
         assert [r.commutative.ok for r in reps] == [True] * 5 + [False]
+
+
+def test_law_batteries_run_on_rows_with_no_per_pair_call(monkeypatch):
+    # the shape of the work: when every law holds, no battery falls back to
+    # a convolution or an order check per pair of Steps
+    from pncalc import acceptance, distfn, triangle
+
+    calls = []
+
+    def counted(name, real):
+        return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+    for mod in (distfn, triangle, acceptance):
+        for name in ("_conv_loop", "_conv_array", "compare_leq"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    taus = list(map(parse_triangle, ("sup:min", "sup:prod", "max", "inf:prod", "sup:lukasiewicz")))
+    for seed in (0, 7):
+        assert all(rep.all_laws_hold for rep in tf_law_suite(taus, n_samples=50, seed=seed))
+    assert acceptance._c2_triangle_laws().passed
+    assert calls == []
+    assert distfn_equal(sup_conv(taus[1].tnorm, eps(1.0), eps(2.0)), eps(3.0)) and calls  # the counters count
+
+
+@pytest.mark.parametrize("n_samples", [0, 10_001])
+def test_law_suite_rejects_a_sample_count_out_of_bounds_before_drawing(monkeypatch, n_samples):
+    from pncalc import triangle
+
+    monkeypatch.setattr(triangle, "random_step_fn", lambda *a: pytest.fail("drew an operand"))
+    monkeypatch.setattr(triangle, "_pack", lambda *a: pytest.fail("packed a row"))
+    with pytest.raises(ValueError, match=r"n_samples must lie in \[1, 10000\]"):
+        tf_law_suite([parse_triangle("sup:prod")], n_samples=n_samples)
 
 
 def _numpy_random_step_fn(rng, max_jumps=4):
