@@ -244,7 +244,7 @@ def test_row_convolution_equals_the_single_pair_kernels(name):
     overflows = sum(a.breakpoints[-1] + b.breakpoints[-1] == INF for a, b in pairs if a.breakpoints and b.breakpoints)
     ties = sum(len({x + y for x in a.breakpoints for y in b.breakpoints}) < len(a.breakpoints) * len(b.breakpoints)
                for a, b in pairs)
-    assert overflows > 50 and ties > 100 and len({len(a.breakpoints) for a, _ in pairs}) >= 4  # widths 0 to 4
+    assert overflows > 50 and ties > 100 and len({len(a.breakpoints) for a, _ in pairs}) >= 4  # rows of several widths
     for maximize in (True, False):
         rows = _conv_rows(t, fs, gs, maximize)
         firsts = _unpack(rows)
