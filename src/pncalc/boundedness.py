@@ -17,17 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distfn import DPLUS_TOL, DistFn, Grid, Step, check_tol, compare_leq, pointwise_min
-from .pnspace import PNSpace, Vector, as_vector, default_samples, vec_sub
+from .pnspace import PNSpace, Vector, _distinct, as_vector, default_samples, vec_sub
 from .topology import DEFAULT_HORIZON, SequenceSpec, convergence_probe, strong_topology_class
+from .triangle import _leq_rows, _pack
 
 CERTAINLY_BOUNDED = "certainly_bounded"
 PERHAPS_BOUNDED = "perhaps_bounded"
 PERHAPS_UNBOUNDED = "perhaps_unbounded"
 CERTAINLY_UNBOUNDED = "certainly_unbounded"
 
-#: Largest interval sample: the lower-bound witness compares each sample's
-#: norm with the radius, exactly, so 16384 samples take about 0.06 s in E9
-#: (steps) and 0.03 s in E25 (Ratios) on a 2-CPU x86 host
+#: Largest interval sample: the lower-bound witness compares the norm at
+#: each distinct sample magnitude with the radius, exactly, so 16384
+#: samples take about 0.02 s in E9 (steps, on packed rows) and 0.04 s in
+#: E25 (Ratios, one comparison each) on a 2-CPU x86 host
 MAX_SAMPLES = 16384
 
 
@@ -220,7 +222,13 @@ def dbounded_witness(space: PNSpace, a: SetSpec, tol: float = 1e-9) -> WitnessRe
         return WitnessResult(None, False, 0)
     g = report.radius
     members = _verification_members(space, a)
-    verified = all(compare_leq(g, space.norm_of(p), tol).holds for p in members)
+    # each distinct member magnitude once
+    ms = _distinct(space.magnitudes([as_vector(p, space.dim) for p in members]))
+    if space.step_norms:  # G, a norm itself, is a Step too
+        rows = tuple(np.broadcast_to(r, (len(ms), r.shape[1])) for r in _pack([g]))
+        verified = bool(_leq_rows(rows, space.norm_rows(ms), tol).all())
+    else:
+        verified = all(compare_leq(g, space.norm_at_magnitude(m), tol).holds for m in ms.tolist())
     return WitnessResult(g, verified, len(members))
 
 

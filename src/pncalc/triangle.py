@@ -147,6 +147,8 @@ def _conv_array(t: TNorm, a: Step, b: Step, maximize: bool) -> Step:
     # its sign is the loop's)
     with np.errstate(over="ignore"):  # two jumps near the largest float
         sums = np.add.outer(a.arrays[0], b.arrays[0]).ravel()
+    if not sums.size:  # an operand with no jump: 0 at every finite x under both kinds, as the loop finds
+        return EPS_INF
     order = np.argsort(sums, kind="stable")
     sums, vals = sums[order], _pair_values(t, a, b, maximize).ravel()[order]
     new = sums[1:] != sums[:-1]

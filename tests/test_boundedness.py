@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from pncalc.boundedness import (
+    CERTAINLY_BOUNDED,
     MAX_SAMPLES,
+    RadiusReport,
     SetSpec,
     all_reals,
     classify_set,
@@ -20,7 +22,7 @@ from pncalc.boundedness import (
     sequence_image,
 )
 from pncalc.distfn import EPS0, Grid, Ratio, compare_leq, distfn_equal, eps, pointwise_min
-from pncalc.pnspace import FAMILIES, make_space
+from pncalc.pnspace import FAMILIES, default_samples, make_space, parse_space
 from pncalc.topology import SequenceSpec
 
 HARMONIC = SequenceSpec("harmonic")
@@ -211,6 +213,54 @@ def test_witness_exists_iff_d_bounded():
         if wit.found:
             assert wit.verified
             assert wit.g.in_d_plus()
+
+
+def _reference_witness(space, aset, tol=1e-9):
+    """The witness as it compared the radius with every member's norm."""
+    rep = classify_set(space, aset, tol)
+    if not rep.d_bounded:
+        return None, False, 0
+    members = default_samples(space).vectors if aset.kind == "all_reals" else aset.members(space.dim)
+    return rep.radius, all(compare_leq(rep.radius, space.norm_of(p), tol).holds for p in members), len(members)
+
+
+_WITNESS_SETS = [
+    all_reals(),
+    finite_set([0.0]),
+    finite_set([-3.0, -1.0, 0.5, 2.0, 3.0, -0.0, 5e-324, 1e308]),
+    interval_rationals(-2.0, 5.0, 101),
+    sequence_image(HARMONIC, horizon=64),
+    sequence_image(SequenceSpec("explicit", terms=((0.25,), (-4.0,), (0.25,)))),
+]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+@pytest.mark.parametrize("spec", ["E9:a=1", "E12", "E19", "E19:l1,dim=2", "E19b:a=1,l2,dim=2", "E21", "E25", "E27:a=1"])
+def test_witness_equals_the_per_member_check(spec, tol):
+    space = parse_space(spec)
+    for aset in _WITNESS_SETS:
+        if space.dim > 1:
+            if aset.kind in ("interval_rationals", "sequence_image"):
+                continue
+            if aset.kind == "finite":
+                aset = finite_set([(c, -c / 3.0) for (c,) in aset.vectors])
+        wit = dbounded_witness(space, aset, tol)
+        assert (wit.g, wit.verified, wit.checked) == _reference_witness(space, aset, tol), (spec, aset.describe())
+
+
+def test_witness_verification_fails_for_a_bound_above_a_member(monkeypatch):
+    # eps_0 lies above every norm but the zero vector's, so the check fails
+    # on the rows of a Step family as member by member
+    from pncalc import boundedness
+
+    members = finite_set([0.0, 1.0, -2.0])
+    for family in ("E19", "E12", "E25"):
+        space = make_space(family)
+        monkeypatch.setattr(boundedness, "classify_set", lambda s, a, tol: RadiusReport(EPS0, CERTAINLY_BOUNDED, 0.0, 1.0))
+        wit = dbounded_witness(space, members)
+        monkeypatch.undo()
+        assert wit.found and not wit.verified and wit.checked == 3
+        assert not all(compare_leq(EPS0, space.norm_of(p)).holds for p in members.vectors)
 
 
 def test_witness_for_zero_singleton_is_maximal():

@@ -63,6 +63,19 @@ def test_axioms_subcommand(capsys):
     assert doc["result"]["axioms"]["N3"] is True
 
 
+def test_axioms_on_plateau_norms_make_no_loop_convolution(capsys, monkeypatch):
+    # the inf:prod battery runs on rows: no single-pair convolution at all
+    from pncalc import triangle
+
+    calls = []
+    for name in ("_conv_loop", "_conv_array"):
+        kernel = getattr(triangle, name)
+        monkeypatch.setattr(triangle, name, lambda *a, kernel=kernel: calls.append(a) or kernel(*a))
+    doc = run_json(capsys, "axioms", "--space", "E12", "--tau", "sup:prod", "--taustar", "inf:prod")
+    assert doc["result"]["all_hold"] is True
+    assert calls == []
+
+
 def test_serstnev_subcommand_reports_witness(capsys):
     doc = run_json(capsys, "serstnev", "--space", "E9:a=1")
     assert doc["result"]["holds"] is False

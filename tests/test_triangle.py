@@ -251,11 +251,19 @@ def test_row_convolution_equals_the_single_pair_kernels(name):
         for (a, b), got in zip(pairs, firsts):
             want = _conv_loop(t, a, b, maximize)
             assert repr(got) == repr(want), (name, maximize, a, b)
-            if a.breakpoints and b.breakpoints:  # the array sweep needs a sum
-                assert repr(got) == repr(_conv_array(t, a, b, maximize))
+            assert repr(got) == repr(_conv_array(t, a, b, maximize))
         # the second level: up to 16 jumps against up to 4, one batch
         for (a, b), first, got in zip(pairs, firsts, _unpack(_conv_rows(t, rows, gs, maximize))):
             assert repr(got) == repr(_conv_loop(t, first, b, maximize)), (name, maximize, a, b)
+
+
+@pytest.mark.parametrize("maximize", [True, False], ids=["sup", "inf"])
+@pytest.mark.parametrize("name", ["min", "prod", "lukasiewicz", "t2"])
+def test_array_sweep_of_an_operand_with_no_jump_is_the_loops(name, maximize):
+    # eps(inf) has no jump, so there is no sum to sweep: 0 at every finite x
+    t = get_tnorm(name)
+    for a, b in ((EPS_INF, eps(1.0)), (eps(1.0), EPS_INF), (EPS_INF, Plateau(0.5)), (EPS_INF, EPS_INF)):
+        assert repr(_conv_array(t, a, b, maximize)) == repr(_conv_loop(t, a, b, maximize)) == repr(EPS_INF)
 
 
 def test_row_minimum_equals_the_pointwise_minimum():
