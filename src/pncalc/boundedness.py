@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distfn import DPLUS_TOL, DistFn, Grid, Step, check_tol, compare_leq, pointwise_min
-from .pnspace import PNSpace, Vector, _distinct, as_vector, default_samples, vec_sub
+from .distfn import DPLUS_TOL, DistFn, Grid, Step, _distinct, check_tol, compare_leq, pointwise_min
+from .pnspace import PNSpace, Vector, as_vector, default_samples, vec_sub
 from .topology import DEFAULT_HORIZON, SequenceSpec, convergence_probe, strong_topology_class
 from .triangle import _leq_rows, _pack
 

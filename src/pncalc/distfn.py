@@ -56,23 +56,26 @@ MAX_GRID = 16384
 #: first grid sample as a fraction of the grid's x_max
 X_MIN_FRAC = 1e-6
 
-#: size from which the exact Step kernels (``_compare_step_side``,
-#: ``_min_steps`` and ``triangle._conv_steps``) sweep numpy arrays instead
-#: of looping: the pairs of jumps a convolution sums, the jumps a minimum
-#: merges, or the jumps of an order check's Step side.  An array sweep pays
-#: 12-25 us of numpy calls at these sizes; a loop, which builds its Step
-#: as it sweeps, about 0.25-0.55 us per pair, 1 us per jump of a minimum
+#: size from which the convolution (``triangle._conv_steps``) and the order
+#: check (``_compare_step_side``) sweep numpy arrays instead of looping:
+#: the pairs of jumps a convolution sums, or the jumps of an order check's
+#: Step side.  An array sweep pays 12-25 us of numpy calls at these sizes;
+#: a loop, which builds its Step as it sweeps, about 0.25-0.55 us per pair
 #: and 0.45 us per order-check read against a Step or a Ratio (a lazy
 #: operand, which costs a numpy call per read, is read at all of them in
-#: one).  The crossovers measured at 25-36 pairs, 20-24 jumps and 28-32
-#: reads.  The unit steps of the axiom batteries stay below the switch;
-#: the suites' law batteries run on packed rows (``triangle._conv_rows``).
-#: Loop / array us at n jumps per operand (2-CPU shared x86 host, best of 9):
+#: one).  The crossovers measured at 25-36 pairs and 28-32 reads.  Both
+#: loops carry real traffic below the switch: one round of every README
+#: command and both suites makes 15 loop convolutions and about 650 list
+#: reads, and the array sweep alone made ``convolve`` about 25 % slower.
+#: The minimum (``_min_steps``), whose crossover sat at 20-24 jumps and
+#: which those commands call once, sweeps arrays at every size; the law
+#: batteries run on packed rows (``triangle._conv_rows``).  Loop / array
+#: us at n jumps per operand (2-CPU shared x86 host, best of 9):
 #:
-#:     n    sup:prod convolution   minimum of two   order check
-#:     8          35 / 22              17 / 21          4 / 13
-#:     32        257 / 52              67 / 24         15 / 14
-#:     64        797 / 173            125 / 25         31 / 14
+#:     n    sup:prod convolution   order check
+#:     8          35 / 22             4 / 13
+#:     32        257 / 52            15 / 14
+#:     64        797 / 173           31 / 14
 _ARRAY_MIN = 32
 
 
@@ -459,6 +462,16 @@ class Comparison(NamedTuple):
     gap: float
 
 
+def _distinct(xs: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of the 1-D array xs, as ``numpy.unique``
+    gives them, by a sort and a mask: ``numpy.unique`` imports ``numpy.ma``
+    on its first call, about 1 MB of resident memory.  Of equal values the
+    one that sorts first stays, so -0.0 and 0.0 give either."""
+    xs, keep = np.sort(xs), np.ones(len(xs), bool)
+    keep[1:] = xs[1:] != xs[:-1]
+    return xs[keep]
+
+
 def merged_probe_xs(*fns: DistFn, extra=()) -> np.ndarray:
     """The abscissae that every sampled path reads: 0, the operands' probe
     points and ``extra`` with their midpoints (a/2 + b/2 where a + b
@@ -471,13 +484,13 @@ def merged_probe_xs(*fns: DistFn, extra=()) -> np.ndarray:
         parts.append(_COMPARE_FILL_XS)
     pts = np.concatenate([np.asarray(p, dtype=float) for p in parts])
     # adding 0.0 turns a -0.0 probe into +0.0
-    base = np.unique(pts[(pts >= 0.0) & (pts < INF)]) + 0.0
+    base = _distinct(pts[(pts >= 0.0) & (pts < INF)]) + 0.0
     with np.errstate(over="ignore"):  # two abscissae near the largest float
         mids = (base[:-1] + base[1:]) / 2.0
     over = mids == INF
     mids[over] = base[:-1][over] / 2.0 + base[1:][over] / 2.0
-    xs = np.unique(np.concatenate([base, mids, (_LARGEST,)]))  # xs[0] is 0
-    return np.union1d(xs, np.ldexp(1.0, np.arange(np.frexp(xs[1])[1], 1024)))
+    xs = _distinct(np.concatenate([base, mids, (_LARGEST,)]))  # xs[0] is 0
+    return _distinct(np.concatenate([xs, np.ldexp(1.0, np.arange(np.frexp(xs[1])[1], 1024))]))
 
 
 def compare_leq(f: DistFn, g: DistFn, tol: float = 0.0) -> Comparison:
@@ -673,7 +686,7 @@ def _sample_min(fns) -> Grid:
     """The Grid below the pointwise minimum of functions, read at their
     merged probe set and the default grid, with a last jump, at the
     largest float, up to the least operand plateau."""
-    xs = np.union1d(merged_probe_xs(*fns), DEFAULT_GRID.points())
+    xs = _distinct(np.concatenate([merged_probe_xs(*fns), DEFAULT_GRID.points()]))
     xs = xs[(xs > 0.0) & (xs < _LARGEST)]
     vals = np.clip(np.maximum.accumulate(np.min([f.eval_many(xs) for f in fns], axis=0)), 0.0, 1.0)
     return Grid(np.append(xs, _LARGEST), np.append(vals, min(f.plateau for f in fns)))
@@ -682,27 +695,16 @@ def _sample_min(fns) -> Grid:
 def _min_steps(steps) -> Step:
     """The pointwise minimum of Steps: each merged jump rises to the
     minimum on the cell above it, and the last cell is read from the
-    plateaus, as bps[-1] + 1 rounds onto a jump at 2^53 or above.  From
-    ``_ARRAY_MIN`` jumps on, ``np.unique`` of the jumps, one
-    ``searchsorted`` per operand and an elementwise min; below it, a loop
-    of bisections."""
-    walk = _min_array if sum(len(s.breakpoints) for s in steps) >= _ARRAY_MIN else _min_loop
-    return walk(steps)
-
-
-def _min_loop(steps) -> Step:
-    bps = sorted(set().union(*(s.breakpoints for s in steps)))
-    if not bps:
-        return EPS_INF
-    levels = [min(s._eval_pos(r) for s in steps) for r in bps[1:]]  # each r > bps[0] >= 0
-    levels.append(min(s.plateau for s in steps))
-    return _rising_list(bps, levels)
-
-
-def _min_array(steps) -> Step:
+    plateaus, as bps[-1] + 1 rounds onto a jump at 2^53 or above.  The
+    merged jumps are ``_distinct`` of them all, a zero among them with the
+    sign of the first one met; each operand reads its levels
+    at them with one ``searchsorted``, and an elementwise min takes the
+    least.  With no jump in any operand the minimum is eps(inf)."""
     every = np.concatenate([s.arrays[0] for s in steps])
-    bps = np.unique(every)
-    if bps[0] == 0.0:  # the zero the loop's set keeps: the first one met
+    if not every.size:
+        return EPS_INF
+    bps = _distinct(every)
+    if bps[0] == 0.0:  # -0.0 and 0.0 are one jump: keep the sign first met
         bps[0] = every[np.argmax(every == 0.0)]
     reads = bps[1:]
     levels = np.minimum.reduce([s.arrays[1][np.searchsorted(s.arrays[0], reads)] for s in steps])

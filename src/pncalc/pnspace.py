@@ -51,6 +51,7 @@ from .distfn import (
     DistFn,
     Plateau,
     Ratio,
+    _distinct,
     check_tol,
     compare_leq,
     distfn_equal,
@@ -433,14 +434,6 @@ class _NormChecks:
         return compare_leq(*law(self.objects, *key), self.tol).witness
 
 
-def _distinct(ms: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ms, as ``np.unique`` gives them,
-    whose first call imports ``numpy.ma``: about 1 MB of resident memory."""
-    ms, keep = np.sort(ms), np.ones(len(ms), bool)
-    keep[1:] = ms[1:] != ms[:-1]
-    return ms[keep]
-
-
 def _failing(ok: np.ndarray) -> list[int]:
     """The first three positions where a law fails: a report keeps those."""
     return [] if ok.all() else np.flatnonzero(~ok)[:3].tolist()
@@ -586,29 +579,13 @@ def serstnev_check(space: PNSpace, samples: SampleSpec | None = None, tol: float
     return ScalingResult(not violations, tuple(violations))
 
 
-def scalar_monotonicity_check(
-    space: PNSpace,
-    trials=None,
-    samples: SampleSpec | None = None,
-    tol: float = 1e-9,
-) -> LawCheck:
+def scalar_monotonicity_check(space: PNSpace, trials, tol: float = 1e-9) -> LawCheck:
     """|alpha| <= |beta| forces nu_{beta p} <= nu_{alpha p} pointwise.
 
-    ``trials`` is an iterable of (alpha, beta, p); by default all ordered
-    scalar pairs from the sample battery are crossed with its vectors.
-    Every trial is decided at once, as ``axiom_suite`` decides a law, and
-    the first three violations are read again for their witnesses.
+    ``trials`` is an iterable of (alpha, beta, p).  Every trial is decided
+    at once, as ``axiom_suite`` decides a law, and the first three
+    violations are read again for their witnesses.
     """
-    if trials is None:
-        if samples is None:
-            samples = default_samples(space)
-        trials = [
-            (a, b, p)
-            for a in samples.alphas
-            for b in samples.alphas
-            if abs(a) <= abs(b)
-            for p in samples.vectors
-        ]
     trials = [(alpha, beta, as_vector(p, space.dim)) for alpha, beta, p in trials]
     alphas, betas = (np.array([t[k] for t in trials], dtype=float).reshape(-1, 1) for k in (0, 1))
     vs = np.array([p for _, _, p in trials]).reshape(-1, space.dim)

@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .distfn import compare_leq
+from .distfn import _distinct, compare_leq
 from .pnspace import PNSpace, Vector, _largest_feasible, as_vector, parse_vectors, strong_tvs_probe, vec_scale, vec_sub
 
 DEFAULT_LAMBDAS = (0.5, 0.25, 0.1, 0.05)
@@ -211,7 +211,7 @@ def cauchy_probe(
                 if 0.0 < scale < math.inf:
                     row = np.linalg.norm(diffs / scale, ord=order, axis=0)
                     near = near[row >= row.max() * (1.0 - 1e-9)]
-                shortlist = columns[:, first[np.unique(near)]] - columns[:, i, None]
+                shortlist = columns[:, first[_distinct(near)]] - columns[:, i, None]
                 d = diam[i] = max(d, *map(space.magnitude, set(map(tuple, shortlist.T.tolist()))))
     return _tail_report(space, diam, lambdas, horizon, 0)
 

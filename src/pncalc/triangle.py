@@ -86,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distfn import (_ARRAY_MIN, _LARGEST, DEFAULT_GRID, EPS0, EPS_INF, INF, DistFn, Grid, GridSpec, Ratio, Step,
-                     _exact_form, _new_step, _rising_list, _rising_step, _sample_min, distfn_equal, is_eps0, max_tf)
+                     _exact_form, _rising_list, _rising_step, _sample_min, is_eps0, max_tf)
 from .tnorms import LawCheck, TNorm
 
 #: values per block of a walk, its jumps times its columns, so that each
@@ -166,11 +166,6 @@ def _pack(steps) -> tuple[np.ndarray, np.ndarray]:
     k = max(1, max(len(s.breakpoints) for s in steps))
     return (np.array([s.breakpoints + (INF,) * (k - len(s.breakpoints)) for s in steps]),
             np.array([s.levels + s.levels[-1:] * (k - len(s.breakpoints)) for s in steps]))
-
-
-def _unpack(rows) -> list[Step]:
-    """The Steps of packed rows."""
-    return [_new_step(tuple(b[b < INF].tolist()), tuple(ls[:1 + (b < INF).sum()].tolist())) for b, ls in zip(*rows)]
 
 
 def _level_rows(rows, xs: np.ndarray, below=np.less) -> np.ndarray:
@@ -492,35 +487,34 @@ def tf_law_suite(
     tau is checked on the same ones, as one call per tau would draw them.
     The step operands keep everything on the exact path, so the default
     tolerance is tight.  Passing a wrong ``unit`` (a negative control)
-    reports a violation with a witness operand.  Each law runs on all the
-    triples at once, as rows, by ``TriangleFn.on_rows`` (any other callable
-    is called per row and must return Steps), with the verdicts of
-    ``distfn_equal`` and ``compare_leq`` at ``tol``; a unit that is not a
-    Step is checked per triple.  n_samples is at most 10,000: a triple
-    takes about 7 KB and 0.1 ms a tau, so 70 MB and 1 s a tau at the bound.
+    reports a violation with a witness operand; the unit must be a Step.
+    Each law runs on all the triples at once, as rows, by the tau's
+    ``on_rows`` (``TriangleFn.on_rows`` for the built-in kinds), with the
+    verdicts of ``distfn_equal`` and ``compare_leq`` at ``tol``.
+    n_samples is at most 10,000: a triple takes about 7 KB and 0.1 ms a
+    tau, so 70 MB and 1 s a tau at the bound.
     """
     if not 1 <= n_samples <= 10_000:
         raise ValueError(f"n_samples must lie in [1, 10000], got {n_samples}")
+    if not isinstance(unit, Step):
+        raise ValueError(f"the unit must be a Step, as the laws run on packed rows, got {type(unit).__name__}")
     rng = np.random.default_rng(seed)
     triples = [(random_step_fn(rng), random_step_fn(rng), random_step_fn(rng)) for _ in range(n_samples)]
     # f scaled right is pointwise below f, giving an ordered pair
     lows = [f.scale_arg(2.0) for f, _, _ in triples]
-    f, g, h, lo = map(_pack, (*zip(*triples), lows))
-    u = _pack([unit] * n_samples) if isinstance(unit, Step) else None
+    f, g, h, lo, u = map(_pack, (*zip(*triples), lows, [unit] * n_samples))
 
     def equal(a, b):  # distfn_equal(F, G, tol) of each pair of rows
         return _leq_rows(a, b, tol) & _leq_rows(b, a, tol)
 
     reports = []
     for tau in taus:
-        op = tau.on_rows if isinstance(tau, TriangleFn) else (
-            lambda a, b: _pack([tau(x, y) for x, y in zip(_unpack(a), _unpack(b))]))
+        op = tau.on_rows
         fg = op(f, g)
         laws = ((equal(op(fg, h), op(f, op(g, h))), triples),
                 (equal(fg, op(g, f)), [t[:2] for t in triples]),
                 (_leq_rows(op(lo, h), op(f, h), tol), [(w, x, z) for w, (x, _, z) in zip(lows, triples)]),
-                (equal(op(f, u), f) if u is not None else [distfn_equal(tau(x, unit), x, tol) for x, _, _ in triples],
-                 [t[:1] for t in triples]))
+                (equal(op(f, u), f), [t[:1] for t in triples]))
         # each law's check, with the operands of its first two violations
         reports.append(TriangleLawReport(tau.describe(), *(
             LawCheck(bool(np.all(ok)), tuple(w for w, v in zip(ops, ok) if not v)[:2]) for ok, ops in laws)))

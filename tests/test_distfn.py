@@ -849,21 +849,66 @@ def test_array_order_check_equals_the_loop_above_the_switch():
     assert zeros > 100
 
 
+def _min_loop(steps):
+    """The pointwise minimum of Steps as a loop of bisections, the kernel
+    that ``_min_steps`` took below 32 merged jumps: the merged jumps of a
+    set, each rising to the least level after it, the plateaus last."""
+    bps = sorted(set().union(*(s.breakpoints for s in steps)))
+    if not bps:
+        return EPS_INF
+    levels = [min(s._eval_pos(r) for s in steps) for r in bps[1:]]  # each r > bps[0] >= 0
+    levels.append(min(s.plateau for s in steps))
+    return distfn._rising_list(bps, levels)
+
+
+def _check_min(fns):
+    """pointwise_min, max_tf and _min_steps bit for bit the loop's Step,
+    and still a Grid when an operand is one."""
+    want = _min_loop(fns)
+    assert repr(distfn._min_steps(fns)) == repr(want), fns
+    if any(isinstance(f, Grid) for f in fns):  # it carries the sampling error
+        want = distfn._sampled(want)
+    assert repr(pointwise_min(fns)) == repr(want), fns
+    if len(fns) == 2:
+        assert repr(max_tf(*fns)) == repr(want), fns
+    return want
+
+
 def test_array_minimum_equals_the_loop_above_the_switch():
     rng = random.Random(22)
     zeros = 0
     for i in range(3000):
         fns = _above_the_switch(rng, 2 + i % 2)
-        grid = rng.random() < 0.5 and bool(fns[0].breakpoints)
-        if grid:
+        if rng.random() < 0.5 and fns[0].breakpoints:
             fns[0] = Grid(fns[0].breakpoints, fns[0].levels[1:])
-        got, want = pointwise_min(fns), distfn._min_loop(fns)
-        assert repr(distfn._min_array(fns)) == repr(want), fns
-        if grid:  # still a Grid, as it carries the sampling error
-            want = distfn._sampled(want)
-        assert repr(got) == repr(want), fns
+        got = _check_min(fns)
         zeros += bool(got.breakpoints) and math.copysign(1.0, got.breakpoints[0]) < 0.0
     assert zeros > 100
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_minimum_equals_the_loop_at_every_size(k):
+    # every total of merged jumps from 0 (no operand has a jump: eps(inf))
+    # to past 32, with jumps at +-0, jumps the operands share, Plateaus and
+    # Grids among the operands
+    rng = random.Random(40 + k)
+    totals, zeros, shared, grids = set(), 0, 0, 0
+    for total in range(41):
+        for _ in range(12):
+            cuts = sorted(rng.randint(0, total) for _ in range(k - 1))
+            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+            fns = [_wide_step(rng, n) if n else rng.choice((EPS_INF, eps(INF))) for n in sizes]
+            if rng.random() < 0.3 and fns[0].breakpoints:
+                fns[0] = Grid(fns[0].breakpoints, fns[0].levels[1:])
+                grids += 1
+            every = [b for f in fns for b in f.breakpoints]
+            totals.add(len(every))
+            shared += len(set(every)) < len(every)
+            got = _check_min(fns)
+            zeros += bool(got.breakpoints) and math.copysign(1.0, got.breakpoints[0]) < 0.0
+    assert set(range(41)) <= totals and zeros > 5 and shared > 100 and grids > 50
+    for none in ([EPS_INF] * k, [eps(INF)] * k):
+        assert repr(_check_min(none)) == repr(EPS_INF)
 
 
 def test_order_check_on_large_grids_matches_the_probe_path():

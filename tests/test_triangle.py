@@ -25,6 +25,7 @@ from pncalc.distfn import (
     Step,
     _LARGEST,
     _min_steps,
+    _new_step,
     compare_leq,
     distfn_equal,
     eps,
@@ -44,13 +45,17 @@ from pncalc.triangle import (
     _conv_rows,
     _leq_rows,
     _pack,
-    _unpack,
     inf_conv,
     parse_triangle,
     random_step_fn,
     sup_conv,
     tf_law_suite,
 )
+
+
+def _unpack(rows):
+    """The Steps of packed rows: the jumps below +inf and their levels."""
+    return [_new_step(tuple(b[b < INF].tolist()), tuple(ls[:1 + (b < INF).sum()].tolist())) for b, ls in zip(*rows)]
 
 
 def brute_sup(t, f, g, x, n=4001):
@@ -929,6 +934,9 @@ class _LeftProjection:
     def __call__(self, f, g):
         return f
 
+    def on_rows(self, a, b):
+        return a
+
     def describe(self):
         return "left"
 
@@ -971,6 +979,16 @@ def test_law_batteries_run_on_rows_with_no_per_pair_call(monkeypatch):
     assert acceptance._c2_triangle_laws().passed
     assert calls == []
     assert distfn_equal(sup_conv(taus[1].tnorm, eps(1.0), eps(2.0)), eps(3.0)) and calls  # the counters count
+
+
+def test_law_suite_rejects_a_unit_that_is_not_a_step_before_drawing(monkeypatch):
+    # the laws run on packed rows only, and a Ratio has none
+    from pncalc import triangle
+
+    monkeypatch.setattr(triangle, "random_step_fn", lambda *a: pytest.fail("drew an operand"))
+    monkeypatch.setattr(triangle, "_pack", lambda *a: pytest.fail("packed a row"))
+    with pytest.raises(ValueError, match="the unit must be a Step"):
+        tf_law_suite([parse_triangle("sup:prod")], n_samples=20, unit=Ratio(1.0))
 
 
 @pytest.mark.parametrize("n_samples", [0, 10_001])
