@@ -929,10 +929,8 @@ def test_law_suite_negative_control_wrong_unit():
 
 
 class _LeftProjection:
-    """tau(F, G) = F: associative, monotone, with unit eps0, not commutative."""
-
-    def __call__(self, f, g):
-        return f
+    """tau(F, G) = F on packed rows: associative, monotone, with unit eps0,
+    not commutative."""
 
     def on_rows(self, a, b):
         return a
