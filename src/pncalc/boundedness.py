@@ -11,13 +11,14 @@ finite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distfn import DPLUS_TOL, DistFn, Grid, Step, _distinct, check_tol, compare_leq, pointwise_min
-from .pnspace import PNSpace, Vector, as_vector, default_samples, vec_sub
+from .pnspace import PNSpace, Vector, as_vector, default_samples
 from .topology import DEFAULT_HORIZON, SequenceSpec, convergence_probe, strong_topology_class
 from .triangle import _leq_rows, _pack
 
@@ -75,8 +76,9 @@ class SetSpec:
                 raise ValueError("interval sets are one-dimensional")
             return max(abs(self.lo), abs(self.hi)), False
         if self.kind == "finite" or self.seq.kind == "explicit":
-            return max(space.magnitude(as_vector(p, space.dim)) for p in self.members(space.dim)), True
-        first = space.magnitude(as_vector(self.seq.term(1), space.dim))
+            members = [as_vector(p, space.dim) for p in self.members(space.dim)]
+            return max(space.magnitudes(members).tolist()), True
+        first = space.magnitude(self.seq.term(1))
         if first == 0.0:
             return 0.0, True
         return (math.inf if self.seq.kind == "geometric" else first), False
@@ -264,25 +266,29 @@ def convergent_set_bound(
     Premises checked on samples: the norm maps into the proper functions,
     tau preserves properness on sampled pairs, and the sequence enters the
     lambda-neighborhood of the target within the horizon.  ``tol`` is the
-    plateau tolerance of the norms, of tau and of H, and that of H's checks.
+    plateau tolerance of the norms, of tau and of H, and that of H's checks;
+    each distinct magnitude of a term, the target or a sample is checked once.
     """
+    check_tol(tol)
     target = as_vector(target, space.dim)
-    terms = [seq.term(m) for m in range(1, horizon + 1)]
-    norms = [space.norm_of(p) for p in (*terms, target, *default_samples(space).vectors)]
-    if not all(f.in_d_plus(tol) for f in norms):
+    terms = np.array([as_vector(seq.term(m), space.dim) for m in range(1, horizon + 1)]).reshape(-1, space.dim)
+    ms = space.magnitudes(np.concatenate((terms, [target], default_samples(space).vectors))).tolist()
+    norm = functools.cache(space.norm_at_magnitude)
+    # every norm is built, in order, before any is checked
+    if not all([norm(m).in_d_plus(tol) for m in dict.fromkeys(ms)]):
         return SequenceBoundResult("premise_norms_not_proper", None, None, False)
-    if not all(space.tau(f, g).in_d_plus(tol) for f, g in zip(norms[:4], norms[1:5])):
+    if not all(space.tau(norm(m), norm(k)).in_d_plus(tol) for m, k in zip(ms[:4], ms[1:5])):
         return SequenceBoundResult("premise_tau_not_proper", None, None, False)
     verdict = convergence_probe(space, seq, target, (lam,), horizon).per_lambda[0]
     if not verdict.succeeded:
         return SequenceBoundResult("premise_not_convergent", None, None, False)
-    n = verdict.n
-    g = space.norm_at_magnitude(max(space.magnitude(vec_sub(p, target)) for p in terms[n - 1:]))
-    h = space.tau(g, space.norm_of(target))
+    n, t = verdict.n, len(terms)
+    with np.errstate(over="ignore", invalid="ignore"):  # a difference past the largest float, as on tuples
+        g = norm(max(space.magnitudes(terms[n - 1:] - target).tolist()))
+    h = space.tau(g, norm(ms[t]))
     if n > 1:
-        head = space.norm_at_magnitude(max(map(space.magnitude, terms[:n - 1])))
-        h = pointwise_min([head, h])
-    ok = h.in_d_plus(tol) and all(compare_leq(h, space.norm_of(p), tol).holds for p in terms)
+        h = pointwise_min([norm(max(ms[:n - 1])), h])
+    ok = h.in_d_plus(tol) and all(compare_leq(h, norm(m), tol).holds for m in dict.fromkeys(ms[:t]))
     return SequenceBoundResult("ok" if ok else "bound_unverified", h, n, ok)
 
 

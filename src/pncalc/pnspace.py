@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import struct
 import types
 from collections.abc import Callable
@@ -74,12 +73,8 @@ MAX_DIM = 64
 #: of d terms by (d - 1) u, so a finite |p + q| errs by (d + 2) u <= 66 u.
 N3_SLACK = 2.0**-46
 
-_BASE_NORMS = {
-    # a left fold: ``sum`` adds floats with compensation from Python 3.12 on
-    "l1": lambda p: functools.reduce(operator.add, map(abs, p), 0.0),
-    "l2": lambda p: math.hypot(*p),
-    "linf": lambda p: max((abs(c) for c in p), default=0.0),
-}
+#: the base norms, which ``PNSpace.magnitudes`` alone computes
+_BASE_NORMS = ("l1", "l2", "linf")
 
 
 @dataclass(frozen=True)
@@ -151,9 +146,6 @@ def parse_vectors(text: str) -> tuple[Vector, ...]:
     return tuple(tuple(float(c) for c in t.split(",")) for t in text.split(";"))
 
 
-def vec_add(p: Vector, q: Vector) -> Vector:
-    return tuple(map(operator.add, p, q))
-
 def vec_sub(p: Vector, q: Vector) -> Vector:
     return tuple(a - b for a, b in zip(p, q))
 
@@ -192,32 +184,35 @@ class PNSpace:
     def zero(self) -> Vector:
         return (0.0,) * self.dim
 
-    def magnitude(self, p: Vector) -> float:
-        return _BASE_NORMS[self.base_norm](p)
+    def magnitude(self, p) -> float:
+        """The base norm of the vector p, checked for its length, as one row of ``magnitudes``."""
+        return self.magnitudes(as_vector(p, self.dim)).item()
 
     def magnitudes(self, vs) -> np.ndarray:
-        """``magnitude`` of each row of the (n, dim) array vs, bit for bit:
-        l1 and linf fold the columns left to right, as the scalar forms do
-        (numpy sums pairwise from 8 terms on), and l2 in dim > 1 is
-        ``math.hypot`` per row."""
+        """The base norm of each row of the (n, dim) array vs, the only
+        definition of l1, l2 and linf.  l1 and linf fold the |c| column by
+        column, left to right, as ``reduce`` would on a tuple (numpy's
+        ``sum`` adds pairwise from 8 terms on and its ``max`` lets a NaN
+        win), and l2 in dim > 1 is ``math.hypot`` per row.  Every battery
+        and probe reads its vectors through one call."""
         vs = np.asarray(vs, dtype=float).reshape(-1, self.dim)
         if self.base_norm == "l2" and self.dim > 1:
             # one row of floats at a time, read from the array's buffer
             rows = struct.iter_unpack(f"{self.dim}d", np.ascontiguousarray(vs))
             return np.fromiter(itertools.starmap(math.hypot, rows), float, len(vs))
-        vs = np.abs(vs)
-        out = vs[:, 0].copy()
-        with np.errstate(over="ignore"):  # an l1 sum past the largest float
-            for col in vs.T[1:]:
-                if self.base_norm == "l1":
-                    out += col
-                else:  # max keeps the first of equal values, and a NaN it meets first
-                    np.copyto(out, col, where=col > out)
+        out = np.abs(vs[:, 0])
+        if self.dim > 1:
+            with np.errstate(over="ignore"):  # an l1 sum past the largest float
+                for col in np.abs(vs[:, 1:]).T:
+                    if self.base_norm == "l1":
+                        out += col
+                    else:  # max keeps the first of equal values, and a NaN it meets first
+                        np.copyto(out, col, where=col > out)
         return out
 
     def norm_of(self, p) -> DistFn:
         """The distribution-valued norm of the vector p."""
-        return self.norm_at_magnitude(self.magnitude(as_vector(p, self.dim)))
+        return self.norm_at_magnitude(self.magnitude(p))
 
     def norm_at_magnitude(self, m: float) -> DistFn:
         """norm_of at any vector of magnitude m >= 0 (all families are
@@ -324,22 +319,12 @@ _MAGNITUDES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0, 8.0, -8.0)
 
 
 def default_samples(space: PNSpace) -> SampleSpec:
-    dirs: list[Vector] = []
-    for i in range(space.dim):
-        e = [0.0] * space.dim
-        e[i] = 1.0
-        dirs.append(tuple(e))
+    """Each of ``_MAGNITUDES`` times each unit vector and, in dim > 1, the
+    all-ones vector; of equal vectors the first stays."""
+    dirs = [tuple(float(i == j) for j in range(space.dim)) for i in range(space.dim)]
     if space.dim > 1:
         dirs.append((1.0,) * space.dim)
-    vecs: list[Vector] = []
-    seen = set()
-    for c in _MAGNITUDES:
-        for d in dirs:
-            v = vec_scale(c, d)
-            if v not in seen:
-                seen.add(v)
-                vecs.append(v)
-    return SampleSpec(vectors=tuple(vecs))
+    return SampleSpec(vectors=tuple(dict.fromkeys(vec_scale(c, d) for c in _MAGNITUDES for d in dirs)))
 
 
 @dataclass(frozen=True)
@@ -431,7 +416,8 @@ class _NormChecks:
         return ok
 
     def witness(self, law, *key: float) -> float:
-        return compare_leq(*law(self.objects, *key), self.tol).witness
+        # Python floats, so that the norms built carry no numpy scalars
+        return compare_leq(*law(self.objects, *map(float, key)), self.tol).witness
 
 
 def _failing(ok: np.ndarray) -> list[int]:
@@ -488,7 +474,6 @@ def axiom_suite(space: PNSpace, samples: SampleSpec | None = None, tol: float = 
             m_sum[i * n:(i + block) * n] = space.magnitudes(vs[i:i + block, None] + vs)
             if space.step_norms:  # the magnitudes that rows are built for
                 distinct.append(_distinct(m_sum[i * n:(i + block) * n]))
-    mag = space.magnitude
     checks = _NormChecks(space, tol, [ms, neg, m_lam, m_rest, [0.0], *(m * (1.0 - N3_SLACK) for m in distinct)])
     # N3 by blocks of p too, as its rows would hold all n^2 pairs at once
     m_q = np.tile(ms, min(block, n))
@@ -496,24 +481,18 @@ def axiom_suite(space: PNSpace, samples: SampleSpec | None = None, tol: float = 
         checks.holds(_n3, ms[i:i + block].repeat(n), m_q[:len(ms[i:i + block]) * n], m_sum[i * n:(i + block) * n])
         for i in range(0, n, block)])
 
-    unit = checks.equal(np.concatenate(([mag(space.zero)], ms)), np.zeros(n + 1))
+    unit = checks.equal(np.concatenate((space.magnitudes(space.zero), ms)), np.zeros(n + 1))
     n1_v = [] if unit[0] else [("theta", space.zero)]
     n1_v += [("nonzero maps to unit step", p) for p, u in zip(vectors, unit[1:]) if u and not is_zero(p)]
     n2_v = [(p,) for p, ok in zip(vectors, checks.equal(neg, ms)) if not ok]
 
-    n3_v = []
-    for k in _failing(n3_ok):
-        p, q = vectors[k // n], vectors[k % n]
-        n3_v.append((p, q, checks.witness(_n3, mag(p), mag(q), mag(vec_add(p, q)))))
-
-    n4_v = []
-    for k in _failing(checks.holds(_n4, np.repeat(ms, len(lams)), m_lam, m_rest)):
-        p, lam = vectors[k // len(lams)], lams[k % len(lams)]
-        n4_v.append((p, lam, checks.witness(_n4, mag(p), mag(vec_scale(lam, p)), mag(vec_scale(1.0 - lam, p)))))
-
+    n3_v = [(vectors[k // n], vectors[k % n], checks.witness(_n3, ms[k // n], ms[k % n], m_sum[k]))
+            for k in _failing(n3_ok)]
+    n4_v = [(vectors[k // len(lams)], lams[k % len(lams)],
+             checks.witness(_n4, ms[k // len(lams)], m_lam[k], m_rest[k]))
+            for k in _failing(checks.holds(_n4, np.repeat(ms, len(lams)), m_lam, m_rest))]
     following = np.concatenate((ms[1:], ms[:1]))
-    order_v = [(checks.witness(_order, ms[k].item(), following[k].item()),)
-               for k in _failing(checks.holds(_order, ms, following))]
+    order_v = [(checks.witness(_order, ms[k], following[k]),) for k in _failing(checks.holds(_order, ms, following))]
 
     return AxiomReport(
         n1=LawCheck(not n1_v, tuple(n1_v[:3])),
@@ -547,7 +526,8 @@ def serstnev_check(space: PNSpace, samples: SampleSpec | None = None, tol: float
     """Test the Serstnev scaling identity nu_{alpha p}(x) = nu_p(x / |alpha|)
     by comparing norm_of(alpha p) with the argument-scaled norm pointwise.
 
-    Every norm is radial, so within one call each comparison pair is
+    Every norm is radial, so the magnitudes of every p and every alpha p
+    are read at once, and within one call each comparison pair is
     evaluated once per key (m_{alpha p}, m_p, |alpha|) while the loops walk
     the battery in order: two comparisons per distinct key, not per
     (alpha, sign, p)."""
@@ -556,26 +536,25 @@ def serstnev_check(space: PNSpace, samples: SampleSpec | None = None, tol: float
         samples = default_samples(space)
 
     vectors = [as_vector(p, space.dim) for p in samples.vectors]
-    mag = space.magnitude
+    avs = [sgn * alpha for alpha in samples.alphas for sgn in (1.0, -1.0) if sgn * alpha != 0.0]
+    vs = np.array(vectors, dtype=float).reshape(-1, space.dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # alpha p past the largest float, as on tuples
+        m_ap = space.magnitudes(np.array(avs)[:, None, None] * vs).reshape(len(avs), len(vectors)).tolist()
+    m_p = space.magnitudes(vs).tolist()
     norm = functools.cache(space.norm_at_magnitude)
 
     @functools.cache
     def scaled(m_ap, m_p, s):
-        lhs = norm(m_ap)
-        rhs = norm(m_p).scale_arg(s)
+        lhs, rhs = norm(m_ap), norm(m_p).scale_arg(s)
         return lhs, rhs, compare_leq(lhs, rhs, tol), compare_leq(rhs, lhs, tol)
 
     violations = []
-    for alpha in samples.alphas:
-        for sgn in (1.0, -1.0):
-            av = sgn * alpha
-            if av == 0.0:
-                continue
-            for p in vectors:
-                lhs, rhs, fwd, bwd = scaled(mag(vec_scale(av, p)), mag(p), abs(av))
-                if not (fwd.holds and bwd.holds):
-                    x = fwd.witness if fwd.witness is not None else bwd.witness
-                    violations.append(ScalingViolation(av, p, x, lhs, rhs))
+    for av, row in zip(avs, m_ap):
+        for p, m_ap_p, m in zip(vectors, row, m_p):
+            lhs, rhs, fwd, bwd = scaled(m_ap_p, m, abs(av))
+            if not (fwd.holds and bwd.holds):
+                x = fwd.witness if fwd.witness is not None else bwd.witness
+                violations.append(ScalingViolation(av, p, x, lhs, rhs))
     return ScalingResult(not violations, tuple(violations))
 
 
@@ -586,16 +565,15 @@ def scalar_monotonicity_check(space: PNSpace, trials, tol: float = 1e-9) -> LawC
     at once, as ``axiom_suite`` decides a law, and the first three
     violations are read again for their witnesses.
     """
+    check_tol(tol)
     trials = [(alpha, beta, as_vector(p, space.dim)) for alpha, beta, p in trials]
     alphas, betas = (np.array([t[k] for t in trials], dtype=float).reshape(-1, 1) for k in (0, 1))
     vs = np.array([p for _, _, p in trials]).reshape(-1, space.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         m_beta, m_alpha = space.magnitudes(betas * vs), space.magnitudes(alphas * vs)
     checks = _NormChecks(space, tol, (m_beta, m_alpha))
-    mag, violations = space.magnitude, []
-    for k in _failing(checks.holds(_same, m_beta, m_alpha)):
-        alpha, beta, p = trials[k]
-        violations.append((alpha, beta, p, checks.witness(_same, mag(vec_scale(beta, p)), mag(vec_scale(alpha, p)))))
+    violations = [(*trials[k], checks.witness(_same, m_beta[k], m_alpha[k]))
+                  for k in _failing(checks.holds(_same, m_beta, m_alpha))]
     return LawCheck(not violations, tuple(violations))
 
 

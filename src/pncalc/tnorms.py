@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from .distfn import check_tol
+
 
 def _t2(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=float)
@@ -155,6 +157,7 @@ def _law(bad: np.ndarray, *cols: np.ndarray) -> LawCheck:
 def law_suite(t: TNorm, n_samples: int = 1000, seed: int = 7, tol: float = 1e-12) -> TNormLawReport:
     """Check the t-norm laws on random triples and flag whether the dual
     conorm is Archimedean in the operational sense S(x, x) > x on (0, 1)."""
+    check_tol(tol)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)

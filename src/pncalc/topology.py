@@ -171,7 +171,9 @@ def convergence_probe(
     A tail is inside exactly when its largest distance to the target is."""
     check_probe_args(lambdas, horizon)
     target = as_vector(target, space.dim)
-    dists = [space.magnitude(vec_sub(as_vector(seq.term(m), space.dim), target)) for m in range(1, horizon + 1)]
+    terms = np.array([as_vector(seq.term(m), space.dim) for m in range(1, horizon + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):  # a difference past the largest float, as on tuples
+        dists = space.magnitudes(terms - target).tolist()
     return _tail_report(space, list(accumulate(reversed(dists), max))[::-1], lambdas, horizon, 1)
 
 
@@ -198,7 +200,7 @@ def cauchy_probe(
         # numpy shortlists the later terms near the farthest one (scaled by
         # the largest component, so nothing overflows; one row per
         # component, so norms reduce over the short axis), and
-        # ``space.magnitude`` settles each distinct difference exactly
+        # ``space.magnitudes`` settles the differences to them exactly
         order = {"l1": 1, "l2": 2, "linf": np.inf}[space.base_norm]
         points = np.array(terms)
         _, first, ids = np.unique(points, axis=0, return_index=True, return_inverse=True)
@@ -212,7 +214,7 @@ def cauchy_probe(
                     row = np.linalg.norm(diffs / scale, ord=order, axis=0)
                     near = near[row >= row.max() * (1.0 - 1e-9)]
                 shortlist = columns[:, first[_distinct(near)]] - columns[:, i, None]
-                d = diam[i] = max(d, *map(space.magnitude, set(map(tuple, shortlist.T.tolist()))))
+                d = diam[i] = max(d, *space.magnitudes(shortlist.T).tolist())
     return _tail_report(space, diam, lambdas, horizon, 0)
 
 
@@ -384,7 +386,9 @@ def find_comparison_constant(
     feasibility test is one comparison against it.  Feasibility is
     monotone in c because the field norm shrinks as its argument grows;
     c is found by doubling then bisection from 1e-12.  A search failure
-    is not a refutation of the comparison inequality's existence.
+    is not a refutation of the comparison inequality's existence.  The
+    combinations sum_j beta_j p_j are one left fold over the basis on
+    arrays (``sum`` compensates from Python 3.12 on).
     """
     basis = [as_vector(b, space.dim) for b in basis]
     if not linearly_independent(basis):
@@ -393,12 +397,16 @@ def find_comparison_constant(
         raise ValueError("field norm must be one-dimensional")
     if coeff_samples is None:
         coeff_samples = default_coeff_samples(len(basis))
-    magnitudes = [
-        space.magnitude(tuple(sum(b * p[i] for b, p in zip(beta, basis)) for i in range(space.dim)))
-        for beta in coeff_samples
-    ]
-    if not magnitudes:
+    betas = [tuple(map(float, beta)) for beta in coeff_samples]
+    if not betas:
         raise ValueError("coefficient samples must be nonempty")
-    lhs = space.norm_at_magnitude(min(magnitudes))
-    c = _largest_feasible(lambda c: compare_leq(lhs, field_space.norm_of((c,))).holds, 1e-12)
-    return ComparisonConstant(c, len(magnitudes))
+    if any(len(beta) != len(basis) for beta in betas):
+        raise ValueError(f"every coefficient vector needs {len(basis)} entries, one per basis vector")
+    combos = np.zeros((len(betas), space.dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # combinations past the largest float, as on tuples
+        for beta, p in zip(np.array(betas).T, np.array(basis)):
+            combos += beta[:, None] * p
+    lhs = space.norm_at_magnitude(min(space.magnitudes(combos).tolist()))
+    # c > 0 is the magnitude of (c,) under every base norm
+    c = _largest_feasible(lambda c: compare_leq(lhs, field_space.norm_at_magnitude(c)).holds, 1e-12)
+    return ComparisonConstant(c, len(betas))

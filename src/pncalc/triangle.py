@@ -86,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distfn import (_ARRAY_MIN, _LARGEST, DEFAULT_GRID, EPS0, EPS_INF, INF, DistFn, Grid, GridSpec, Ratio, Step,
-                     _exact_form, _rising_list, _rising_step, _sample_min, is_eps0, max_tf)
+                     _exact_form, _rising_list, _rising_step, _sample_min, check_tol, is_eps0, max_tf)
 from .tnorms import LawCheck, TNorm
 
 #: values per block of a walk, its jumps times its columns, so that each
@@ -494,6 +494,7 @@ def tf_law_suite(
     n_samples is at most 10,000: a triple takes about 7 KB and 0.1 ms a
     tau, so 70 MB and 1 s a tau at the bound.
     """
+    check_tol(tol)
     if not 1 <= n_samples <= 10_000:
         raise ValueError(f"n_samples must lie in [1, 10000], got {n_samples}")
     if not isinstance(unit, Step):

@@ -10,6 +10,7 @@ from pncalc.boundedness import (
     CERTAINLY_BOUNDED,
     MAX_SAMPLES,
     RadiusReport,
+    SequenceBoundResult,
     SetSpec,
     all_reals,
     classify_set,
@@ -21,9 +22,9 @@ from pncalc.boundedness import (
     prob_radius,
     sequence_image,
 )
-from pncalc.distfn import EPS0, Grid, Ratio, compare_leq, distfn_equal, eps, pointwise_min
-from pncalc.pnspace import FAMILIES, default_samples, make_space, parse_space
-from pncalc.topology import SequenceSpec
+from pncalc.distfn import DPLUS_TOL, EPS0, Grid, Ratio, compare_leq, distfn_equal, eps, pointwise_min
+from pncalc.pnspace import FAMILIES, as_vector, default_samples, make_space, parse_space, vec_sub
+from pncalc.topology import SequenceSpec, convergence_probe
 
 HARMONIC = SequenceSpec("harmonic")
 
@@ -323,6 +324,48 @@ def test_tolerances_are_read_as_passed():
     assert rep.succeeded and rep.verified and rep.h.plateau == 1.0
     wit = dbounded_witness(make_space("E25"), interval_rationals(1.0, 2.0, 50), tol=0.0)
     assert wit.found and wit.verified and wit.checked == 50
+
+
+def _per_term_bound(space, seq, target, lam, horizon, tol=DPLUS_TOL):
+    """The bound construction as it read one norm per term, target and sample."""
+    target = as_vector(target, space.dim)
+    terms = [seq.term(m) for m in range(1, horizon + 1)]
+    norms = [space.norm_of(p) for p in (*terms, target, *default_samples(space).vectors)]
+    if not all(f.in_d_plus(tol) for f in norms):
+        return SequenceBoundResult("premise_norms_not_proper", None, None, False)
+    if not all(space.tau(f, g).in_d_plus(tol) for f, g in zip(norms[:4], norms[1:5])):
+        return SequenceBoundResult("premise_tau_not_proper", None, None, False)
+    verdict = convergence_probe(space, seq, target, (lam,), horizon).per_lambda[0]
+    if not verdict.succeeded:
+        return SequenceBoundResult("premise_not_convergent", None, None, False)
+    n = verdict.n
+    g = space.norm_at_magnitude(max(space.magnitude(vec_sub(p, target)) for p in terms[n - 1:]))
+    h = space.tau(g, space.norm_of(target))
+    if n > 1:
+        h = pointwise_min([space.norm_at_magnitude(max(map(space.magnitude, terms[:n - 1]))), h])
+    ok = h.in_d_plus(tol) and all(compare_leq(h, space.norm_of(p), tol).holds for p in terms)
+    return SequenceBoundResult("ok" if ok else "bound_unverified", h, n, ok)
+
+
+@pytest.mark.parametrize("spec", ["E9:a=1", "E12", "E19", "E19:l1,dim=2", "E19b:a=1,l2,dim=2", "E21", "E25", "E27:a=1"])
+def test_bound_equals_the_per_term_construction(spec):
+    space = parse_space(spec)
+    dim = space.dim
+    one, zero = (1.0,) + (0.0,) * (dim - 1), (0.0,) * dim
+    # the magnitudes fall, rise, or pass the largest float in their
+    # distance to the target -1e308
+    sequences = [
+        (SequenceSpec("harmonic", one), zero),
+        (SequenceSpec("geometric_decay", one), zero),
+        (SequenceSpec("explicit", one, tuple(tuple(1.0 + 1.0 / m for _ in one) for m in range(1, 65))), (1.0,) * dim),
+        (SequenceSpec("explicit", one, tuple(tuple(2.0 - 1.0 / m for _ in one) for m in range(1, 65))), (2.0,) * dim),
+        (SequenceSpec("explicit", one, ((1e308,) * dim, (1.7976931348623157e308,) * dim, (0.5,) * dim,
+                                         (0.5,) * dim, (-1e308,) * dim)), (-1e308,) * dim),
+    ]
+    for seq, target in sequences:
+        for lam, horizon in ((0.25, 64), (0.5, 64), (0.25, 3)):
+            got = convergent_set_bound(space, seq, target, lam=lam, horizon=horizon)
+            assert got == _per_term_bound(space, seq, target, lam, horizon), (seq.kind, target, lam, horizon)
 
 
 def test_bound_fails_without_convergence():

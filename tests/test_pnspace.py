@@ -1,7 +1,9 @@
 """Built-in space families: norm values, axiom suite, scaling identity,
 scalar monotonicity, vanishing at infinity, and the small-scalar probe."""
 
+import functools
 import math
+import operator
 import re
 import tracemalloc
 
@@ -9,13 +11,14 @@ import numpy as np
 import pytest
 
 from pncalc import pnspace
-from pncalc.boundedness import classify_set, interval_rationals
+from pncalc.boundedness import classify_set, convergent_set_bound, dbounded_witness, finite_set, interval_rationals
 from pncalc.distfn import EPS0, Plateau, Ratio, compare_leq, distfn_equal, eps
 from pncalc.pnspace import (
     FAMILIES,
     MAX_DIM,
     N3_SLACK,
     AxiomReport,
+    PNSpace,
     SampleSpec,
     ScalingResult,
     ScalingViolation,
@@ -33,11 +36,15 @@ from pncalc.pnspace import (
     serstnev_check,
     small_scalar_delta_probe,
     strong_tvs_probe,
-    vec_add,
     vec_scale,
 )
-from pncalc.tnorms import LawCheck
-from pncalc.triangle import parse_triangle
+from pncalc.tnorms import LawCheck, TNorm, law_suite
+from pncalc.topology import SequenceSpec, cauchy_probe, convergence_probe, find_comparison_constant
+from pncalc.triangle import parse_triangle, tf_law_suite
+
+
+def vec_add(p, q):
+    return tuple(map(operator.add, p, q))
 
 
 # ------------------------------------------------------------ norm values
@@ -170,14 +177,23 @@ def test_axiom_suite_rejects_empty_battery():
         axiom_suite(make_space("E12"), SampleSpec(vectors=()))
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-12, 1.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-12, 1.0, 2.0])
 def test_verdict_tolerance_must_lie_in_the_unit_interval(tol):
     space = make_space("E25")
-    for check in (axiom_suite, serstnev_check):
+    checks = [
+        lambda: axiom_suite(space, tol=tol),
+        lambda: serstnev_check(space, tol=tol),
+        lambda: classify_set(space, interval_rationals(1.0, 2.0), tol=tol),
+        # a NaN slack passed every t-norm law and failed every triangle-function
+        # law and every scalar trial; a slack of 2 verified any bound
+        lambda: law_suite(TNorm("bad", lambda a, b: 0.5 * a + 0.25 * b), 50, tol=tol),
+        lambda: tf_law_suite([parse_triangle("max")], tol=tol),
+        lambda: scalar_monotonicity_check(make_space("E19"), random_scalar_triples(10, 1), tol=tol),
+        lambda: convergent_set_bound(space, SequenceSpec("harmonic"), 0.0, lam=0.5, tol=tol),
+    ]
+    for check in checks:
         with pytest.raises(ValueError, match="tolerance must be finite and in"):
-            check(space, tol=tol)
-    with pytest.raises(ValueError, match="tolerance must be finite and in"):
-        classify_set(space, interval_rationals(1.0, 2.0), tol=tol)
+            check()
 
 
 # The axiom suite and the scaling check as they compared every vector
@@ -427,6 +443,15 @@ def _odd_components(rng, n, dim):
     return np.concatenate((vs, alike))
 
 
+#: the base norms on tuples, the reference for ``PNSpace.magnitudes``; l1 is
+#: a left fold, as ``sum`` adds floats with compensation from Python 3.12 on
+_SCALAR_NORMS = {
+    "l1": lambda p: functools.reduce(operator.add, map(abs, p), 0.0),
+    "l2": lambda p: math.hypot(*p),
+    "linf": lambda p: max((abs(c) for c in p), default=0.0),
+}
+
+
 @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 64])
 @pytest.mark.parametrize("base", ["l1", "l2", "linf"])
 def test_magnitudes_equal_the_scalar_magnitude(base, dim):
@@ -434,8 +459,37 @@ def test_magnitudes_equal_the_scalar_magnitude(base, dim):
     rng = np.random.default_rng(dim)
     vs = np.concatenate((_odd_components(rng, 400, dim), np.full((1, dim), 1e308), np.full((1, dim), -0.0),
                          np.full((1, dim), 5e-324)))
-    want = [repr(space.magnitude(tuple(v))) for v in vs.tolist()]
+    want = [repr(_SCALAR_NORMS[base](tuple(v))) for v in vs.tolist()]
     assert [repr(m) for m in space.magnitudes(vs).tolist()] == want
+    assert [repr(space.magnitude(v)) for v in vs.tolist()] == want
+
+
+def test_magnitude_checks_the_length_of_its_vector():
+    space = make_space("E19", dim=2)
+    assert space.magnitude((3.0, 4.0)) == 5.0
+    with pytest.raises(ValueError, match="has length 3, expected 2"):
+        space.magnitude((1.0, 2.0, 3.0))
+
+
+def test_no_battery_or_probe_reads_one_vector_at_a_time(monkeypatch):
+    # every battery and probe reads its vectors through one ``magnitudes``
+    # call, so the scalar reader, which ``norm_of`` goes through, is never called
+    calls = []
+    magnitude = PNSpace.magnitude
+    monkeypatch.setattr(PNSpace, "magnitude", lambda self, p: calls.append(p) or magnitude(self, p))
+    plane = parse_space("E19:l2,dim=2")
+    harmonic = SequenceSpec("harmonic", (1.0, -2.0))
+    members = finite_set([(math.cos(m) * m, math.sin(m)) for m in range(200)])
+    assert not serstnev_check(make_space("E9")).holds
+    assert convergence_probe(plane, harmonic, (0.0, 0.0), horizon=64).converges
+    assert cauchy_probe(plane, harmonic, horizon=64).converges
+    assert find_comparison_constant(parse_space("E19:l2,dim=3"), [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+                                    make_space("E19")).found
+    assert classify_set(plane, members).d_bounded
+    assert dbounded_witness(plane, members).verified
+    assert convergent_set_bound(make_space("E25"), SequenceSpec("harmonic"), 0.0, lam=0.5).verified
+    assert not axiom_suite(make_space("E19", tau="max", tau_star="max")).n3.ok
+    assert calls == []
 
 
 def test_the_axiom_battery_at_the_dimension_bound_holds_in_bounded_memory():

@@ -227,6 +227,8 @@ SCAN_SEQUENCES = (
     DECAY,
     SequenceSpec("explicit", terms=((1.0,),)),
     SequenceSpec("explicit", terms=((2.0,), (-0.5,), (0.3,), (0.3,), (0.02,), (-0.01,))),
+    # distances past the largest float, to the target -1e308 and between terms
+    SequenceSpec("explicit", terms=((1e308,), (-1.7976931348623157e308,), (1e308,), (-1e308,))),
 )
 # duplicates included; 0.01 and 0.9 reach past and short of every default level
 SCAN_LAMBDAS = (0.5, 0.25, 0.1, 0.25, 0.05, 0.01, 0.9)
@@ -238,7 +240,7 @@ def test_probes_match_the_scans(family, horizon):
     space = make_space(family)
     for seq in SCAN_SEQUENCES:
         ref = _uncut(seq, horizon)
-        for target in (0.0, 1.0):
+        for target in (0.0, 1.0, -1e308):
             got = convergence_probe(space, seq, target, SCAN_LAMBDAS, horizon)
             assert got == _scan_convergence(space, ref, target, SCAN_LAMBDAS, horizon), (seq, target)
         got = cauchy_probe(space, seq, SCAN_LAMBDAS, horizon)
@@ -286,7 +288,7 @@ def test_probes_match_the_scans_in_the_plane(spec, monkeypatch):
     for seq in sequences:
         for horizon in (1, 2, 64, 256):
             ref = _uncut(seq, horizon)
-            for target in ((0.0, 0.0), (0.5, -0.5)):
+            for target in ((0.0, 0.0), (0.5, -0.5), (-(2.0**1023), 2.0**1023)):
                 got = convergence_probe(space, seq, target, SCAN_LAMBDAS, horizon)
                 assert got == _scan_convergence(space, ref, target, SCAN_LAMBDAS, horizon), (seq.kind, target)
             got = cauchy_probe(space, seq, SCAN_LAMBDAS, horizon)
@@ -460,11 +462,30 @@ def test_comparison_constant_matches_the_per_sample_search():
     samples = default_coeff_samples(2, count=20)
     for base_norm in ("l1", "l2", "linf"):
         space = make_space("E19", dim=2, base_norm=base_norm)
-        for basis in ([(1.0, 0.0), (0.0, 1.0)], [(1.0, 2.0), (0.0, 3.0)]):
+        # the last basis gives l1 magnitudes past the largest float
+        for basis in ([(1.0, 0.0), (0.0, 1.0)], [(1.0, 2.0), (0.0, 3.0)], [(1e308, 0.0), (1e308, 1e308)]):
             for field in (make_space("E19"), make_space("E19b", a=1.0), make_space("E27", a=0.5)):
                 rep = find_comparison_constant(space, basis, field, samples)
                 assert rep.c == _per_sample_c(space, basis, field, samples), (base_norm, basis, field.family)
                 assert rep.n_samples == len(samples)
+
+
+def test_comparison_constant_reads_combinations_past_the_largest_float():
+    # p_1 - p_2 overflows in its first component, and so do both products of 1e10 p_1 - 1e10 p_2
+    basis = [(1e308, 0.0), (-1e308, 1.0)]
+    samples = [(1.0, -1.0), (0.5, 0.25), (1e10, -1e10), (-1.0, 1.0)]
+    for base_norm in ("l1", "l2", "linf"):
+        space = make_space("E19", dim=2, base_norm=base_norm)
+        for field in (make_space("E19"), make_space("E27", a=0.5)):
+            rep = find_comparison_constant(space, basis, field, samples)
+            assert rep.c == _per_sample_c(space, basis, field, samples), (base_norm, field.family)
+
+
+@pytest.mark.parametrize("samples", [[(1.0,), (0.5,)], [(0.2, 0.3, 0.5)], [(0.5, 0.5), (1.0,)]])
+def test_coefficient_vectors_must_have_one_entry_per_basis_vector(samples):
+    # zip would cut them to the basis, or read a basis vector as 0
+    with pytest.raises(ValueError, match="needs 2 entries, one per basis vector"):
+        find_comparison_constant(make_space("E19", dim=2), [(1.0, 0.0), (0.0, 1.0)], make_space("E19"), samples)
 
 
 def test_dependent_basis_rejected():
