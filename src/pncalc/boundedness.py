@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distfn import DPLUS_TOL, DistFn, Grid, Step, _distinct, check_tol, compare_leq, pointwise_min
-from .pnspace import PNSpace, Vector, as_vector, default_samples
+from .pnspace import PNSpace, Vector, as_vector, as_vectors, default_samples
 from .topology import DEFAULT_HORIZON, SequenceSpec, convergence_probe, strong_topology_class
 from .triangle import _leq_rows, _pack
 
@@ -29,7 +29,7 @@ CERTAINLY_UNBOUNDED = "certainly_unbounded"
 
 #: Largest interval sample: the lower-bound witness compares the norm at
 #: each distinct sample magnitude with the radius, exactly, so 16384
-#: samples take about 0.02 s in E9 (steps, on packed rows) and 0.04 s in
+#: samples take about 5 ms in E9 (steps, on packed rows) and 0.05 s in
 #: E25 (Ratios, one comparison each) on a 2-CPU x86 host
 MAX_SAMPLES = 16384
 
@@ -59,15 +59,20 @@ class SetSpec:
         if self.kind == "sequence_image" and self.seq is None:
             raise ValueError("sequence_image needs a sequence")
 
-    def geometry(self, space: PNSpace) -> tuple[float, bool]:
+    @property
+    def listed(self) -> bool:  # whether ``members`` lists the whole set
+        return self.kind == "finite" or self.kind == "sequence_image" and self.seq.kind == "explicit"
+
+    def geometry(self, space: PNSpace, ms: np.ndarray | None = None) -> tuple[float, bool]:
         """The largest member magnitude in ``space`` and whether the set is
         finite, over the whole set.
 
-        A finite set or an explicit image has its largest listed
-        magnitude.  The rationals in [lo, hi] approach max(|lo|, |hi|).
-        The whole line and the geometric image are unbounded.  A harmonic
-        or geometric-decay image shrinks from its first term.  A generator
-        image with a zero direction is {0}.
+        A listed set has its largest listed magnitude (from ``ms``, the
+        members' magnitudes, when the caller has read them).  The rationals
+        in [lo, hi] approach max(|lo|, |hi|).  The whole line and the
+        geometric image are unbounded.  A harmonic or geometric-decay image
+        shrinks from its first term.  A generator image with a zero
+        direction is {0}.
         """
         if self.kind == "all_reals":
             return math.inf, False
@@ -75,26 +80,30 @@ class SetSpec:
             if space.dim != 1:
                 raise ValueError("interval sets are one-dimensional")
             return max(abs(self.lo), abs(self.hi)), False
-        if self.kind == "finite" or self.seq.kind == "explicit":
-            members = [as_vector(p, space.dim) for p in self.members(space.dim)]
-            return max(space.magnitudes(members).tolist()), True
+        if self.listed:
+            ms = space.magnitudes(self.members(space.dim)) if ms is None else ms
+            return max(ms.tolist()), True
         first = space.magnitude(self.seq.term(1))
         if first == 0.0:
             return 0.0, True
         return (math.inf if self.seq.kind == "geometric" else first), False
 
-    def members(self, dim: int = 1) -> tuple[Vector, ...]:
-        """The members of a finite set or an explicit image; a sample of
-        the others: the interval's ``n_samples`` evenly spaced points, the
-        first ``horizon`` terms of a generator image."""
+    def members(self, dim: int = 1) -> np.ndarray:
+        """The members of a listed set as one (n, dim) array (``as_vectors``); a
+        sample of the others: the first ``horizon`` terms of a generator image,
+        the interval's ``n_samples`` evenly spaced points, as ``np.linspace``
+        spaces them unless finite ends are too far apart for hi - lo to be a
+        float, and then as lo (1 - t) + hi t, which cannot overflow."""
         if self.kind == "finite":
-            return tuple(as_vector(v, dim) for v in self.vectors)
+            return as_vectors(self.vectors, dim)
         if self.kind == "sequence_image":
-            if self.seq.kind == "explicit":
-                return self.seq.terms
-            return tuple(self.seq.term(m) for m in range(1, self.horizon + 1))
+            return self.seq.prefix(len(self.seq.terms) if self.seq.kind == "explicit" else self.horizon, dim)
         if self.kind == "interval_rationals":
-            return tuple((float(x),) for x in np.linspace(self.lo, self.hi, self.n_samples))
+            lo, hi, n = self.lo, self.hi, self.n_samples
+            if math.isfinite(lo) and math.isfinite(hi) and math.isinf(hi - lo):
+                t = np.linspace(0.0, 1.0, n)[:, None]
+                return lo * (1.0 - t) + hi * t
+            return np.linspace(lo, hi, n)[:, None]
         raise ValueError("the whole carrier cannot be enumerated")
 
     def describe(self) -> str:
@@ -186,7 +195,10 @@ def classify_set(space: PNSpace, a: SetSpec, tol: float = 1e-9) -> RadiusReport:
     is still the lower level by left-continuity).
     """
     check_tol(tol)
-    radius = prob_radius(space, a)
+    return _classified(prob_radius(space, a), tol)
+
+
+def _classified(radius: DistFn, tol: float) -> RadiusReport:
     plateau = radius.plateau
     x0 = _attainment_threshold(radius, 1.0 - tol)
     if x0 is not None and plateau >= 1.0 - tol:
@@ -209,29 +221,27 @@ class WitnessResult:
         return self.g is not None
 
 
-def _verification_members(space: PNSpace, a: SetSpec) -> tuple[Vector, ...]:
-    if a.kind == "all_reals":
-        return default_samples(space).vectors
-    return a.members(space.dim)
-
-
 def dbounded_witness(space: PNSpace, a: SetSpec, tol: float = 1e-9) -> WitnessResult:
     """A proper lower bound G with nu_p >= G for all members, when one
     exists.  The radius itself serves: it is a pointwise lower bound by
-    construction and is proper exactly when the set is D-bounded."""
-    report = classify_set(space, a, tol)
+    construction and is proper exactly when the set is D-bounded.  A listed
+    set's member magnitudes are read once, for the radius and the check."""
+    check_tol(tol)
+    ms = space.magnitudes(a.members(space.dim)) if a.listed else None
+    report = _classified(space.norm_at_magnitude(a.geometry(space, ms)[0]), tol)
     if not report.d_bounded:
         return WitnessResult(None, False, 0)
     g = report.radius
-    members = _verification_members(space, a)
-    # each distinct member magnitude once
-    ms = _distinct(space.magnitudes([as_vector(p, space.dim) for p in members]))
+    if ms is None:  # a sample of the set; the default battery samples the whole line
+        ms = space.magnitudes(a.members(space.dim) if a.kind != "all_reals" else
+                              as_vectors(default_samples(space).vectors, space.dim))
+    checked, ms = len(ms), _distinct(ms)  # each distinct member magnitude once
     if space.step_norms:  # G, a norm itself, is a Step too
         rows = tuple(np.broadcast_to(r, (len(ms), r.shape[1])) for r in _pack([g]))
         verified = bool(_leq_rows(rows, space.norm_rows(ms), tol).all())
     else:
         verified = all(compare_leq(g, space.norm_at_magnitude(m), tol).holds for m in ms.tolist())
-    return WitnessResult(g, verified, len(members))
+    return WitnessResult(g, verified, checked)
 
 
 @dataclass(frozen=True)
@@ -271,7 +281,7 @@ def convergent_set_bound(
     """
     check_tol(tol)
     target = as_vector(target, space.dim)
-    terms = np.array([as_vector(seq.term(m), space.dim) for m in range(1, horizon + 1)]).reshape(-1, space.dim)
+    terms = seq.prefix(horizon, space.dim)
     ms = space.magnitudes(np.concatenate((terms, [target], default_samples(space).vectors))).tolist()
     norm = functools.cache(space.norm_at_magnitude)
     # every norm is built, in order, before any is checked

@@ -140,6 +140,19 @@ def as_vector(p, dim: int) -> Vector:
     return v
 
 
+def as_vectors(ps, dim: int) -> np.ndarray:
+    """The vectors ps as one (n, dim) float array, row by row as ``as_vector``
+    reads them: one numpy conversion reads rows of reals of one length, and
+    ``as_vector`` anything else (scalars, ragged rows, None), raising its errors."""
+    try:
+        vs = np.array(ps)
+    except ValueError:  # ragged rows, or scalars among rows
+        vs = None
+    if vs is not None and vs.ndim == 2 and vs.shape[1] == dim and vs.dtype.kind in "biuf":
+        return vs.astype(float, copy=False)
+    return np.array([as_vector(p, dim) for p in ps], dtype=float).reshape(-1, dim)
+
+
 def parse_vectors(text: str) -> tuple[Vector, ...]:
     """Parse the vector-list syntax ``1,0;0,1``: vectors separated by
     semicolons, components by commas."""
@@ -458,7 +471,8 @@ def axiom_suite(space: PNSpace, samples: SampleSpec | None = None, tol: float = 
     if not samples.vectors:
         raise ValueError("sample battery must be nonempty")
 
-    vectors = list(dict.fromkeys(as_vector(p, space.dim) for p in samples.vectors))
+    # of equal vectors the first stays, -0.0 equal to 0.0 as tuples compare
+    vectors = list(dict.fromkeys(map(tuple, as_vectors(samples.vectors, space.dim).tolist())))
     vs, n, lams = np.array(vectors), len(vectors), samples.lambdas
     with np.errstate(over="ignore", invalid="ignore"):  # sums and scalings past the largest float, as on tuples
         both = space.magnitudes(np.concatenate((vs, -1.0 * vs)))
@@ -535,12 +549,11 @@ def serstnev_check(space: PNSpace, samples: SampleSpec | None = None, tol: float
     if samples is None:
         samples = default_samples(space)
 
-    vectors = [as_vector(p, space.dim) for p in samples.vectors]
+    vs = as_vectors(samples.vectors, space.dim)
     avs = [sgn * alpha for alpha in samples.alphas for sgn in (1.0, -1.0) if sgn * alpha != 0.0]
-    vs = np.array(vectors, dtype=float).reshape(-1, space.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # alpha p past the largest float, as on tuples
-        m_ap = space.magnitudes(np.array(avs)[:, None, None] * vs).reshape(len(avs), len(vectors)).tolist()
-    m_p = space.magnitudes(vs).tolist()
+        m_ap = space.magnitudes(np.array(avs)[:, None, None] * vs).reshape(len(avs), len(vs)).tolist()
+    ps, m_p = list(map(tuple, vs.tolist())), space.magnitudes(vs).tolist()
     norm = functools.cache(space.norm_at_magnitude)
 
     @functools.cache
@@ -550,7 +563,7 @@ def serstnev_check(space: PNSpace, samples: SampleSpec | None = None, tol: float
 
     violations = []
     for av, row in zip(avs, m_ap):
-        for p, m_ap_p, m in zip(vectors, row, m_p):
+        for p, m_ap_p, m in zip(ps, row, m_p):
             lhs, rhs, fwd, bwd = scaled(m_ap_p, m, abs(av))
             if not (fwd.holds and bwd.holds):
                 x = fwd.witness if fwd.witness is not None else bwd.witness
@@ -566,13 +579,13 @@ def scalar_monotonicity_check(space: PNSpace, trials, tol: float = 1e-9) -> LawC
     violations are read again for their witnesses.
     """
     check_tol(tol)
-    trials = [(alpha, beta, as_vector(p, space.dim)) for alpha, beta, p in trials]
+    trials = list(trials)
+    vs = as_vectors([p for _, _, p in trials], space.dim)
     alphas, betas = (np.array([t[k] for t in trials], dtype=float).reshape(-1, 1) for k in (0, 1))
-    vs = np.array([p for _, _, p in trials]).reshape(-1, space.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         m_beta, m_alpha = space.magnitudes(betas * vs), space.magnitudes(alphas * vs)
     checks = _NormChecks(space, tol, (m_beta, m_alpha))
-    violations = [(*trials[k], checks.witness(_same, m_beta[k], m_alpha[k]))
+    violations = [(*trials[k][:2], tuple(vs[k].tolist()), checks.witness(_same, m_beta[k], m_alpha[k]))
                   for k in _failing(checks.holds(_same, m_beta, m_alpha))]
     return LawCheck(not violations, tuple(violations))
 

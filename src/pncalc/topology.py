@@ -9,6 +9,7 @@ Equivalence is decided: it compares the strong-topology classes.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
@@ -17,13 +18,13 @@ from itertools import accumulate
 import numpy as np
 
 from .distfn import _distinct, compare_leq
-from .pnspace import PNSpace, Vector, _largest_feasible, as_vector, parse_vectors, strong_tvs_probe, vec_scale, vec_sub
+from .pnspace import PNSpace, Vector, _largest_feasible, as_vector, as_vectors, parse_vectors, strong_tvs_probe, vec_scale, vec_sub
 
 DEFAULT_LAMBDAS = (0.5, 0.25, 0.1, 0.05)
 DEFAULT_HORIZON = 64
-#: the probes read O(horizon) magnitudes, the Cauchy probe in dim > 1 one
-#: numpy row of pair magnitudes per term: at 4096 a Cauchy probe takes
-#: about 10 ms in dim 1 and 0.2-0.6 s in dim 2 (on a 2-CPU x86 host)
+#: the probes read the prefix as one array, the Cauchy probe in dim > 1 one
+#: numpy row of pair magnitudes per term: at 4096 a Cauchy probe takes about
+#: 3 ms in dim 1 and 0.15 s in dim 2 (on a 2-CPU x86 host)
 MAX_HORIZON = 4096
 
 
@@ -55,6 +56,20 @@ class SequenceSpec:
             except OverflowError:
                 raise ValueError(f"geometric term {m}: 2^{m} exceeds the float range") from None
         return vec_scale(2.0**-m, self.direction)
+
+    def prefix(self, horizon: int, dim: int) -> np.ndarray:
+        """``term(m)`` for m = 1..horizon, bit for bit, as one (horizon, dim)
+        array checked by ``as_vectors``."""
+        if self.kind == "explicit":
+            rows = as_vectors(self.terms[:horizon], dim)
+            return rows[np.minimum(np.arange(horizon), len(rows) - 1)]
+        if self.kind == "geometric" and horizon > 1023:
+            self.term(1024)  # raises: 2^1024 exceeds the float range
+        m = np.arange(1, horizon + 1)
+        scales = 1.0 / m if self.kind == "harmonic" else np.ldexp(1.0, m if self.kind == "geometric" else -m)
+        direction = np.array(vec_scale(1.0, self.direction))  # floats, or the error ``term`` raises
+        with np.errstate(over="ignore", invalid="ignore"):  # terms past the largest float, as on tuples
+            return as_vectors(scales[:, None] * direction, dim)
 
     def classical_limit(self) -> Vector | None:
         """Componentwise limit of the tuple sequence, when recognizable."""
@@ -171,7 +186,7 @@ def convergence_probe(
     A tail is inside exactly when its largest distance to the target is."""
     check_probe_args(lambdas, horizon)
     target = as_vector(target, space.dim)
-    terms = np.array([as_vector(seq.term(m), space.dim) for m in range(1, horizon + 1)])
+    terms = seq.prefix(horizon, space.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # a difference past the largest float, as on tuples
         dists = space.magnitudes(terms - target).tolist()
     return _tail_report(space, list(accumulate(reversed(dists), max))[::-1], lambdas, horizon, 1)
@@ -187,13 +202,14 @@ def cauchy_probe(
     for all N < m < n <= horizon.  The pairs from index i on are inside
     exactly when the largest distance between two of those terms is."""
     check_probe_args(lambdas, horizon)
-    terms = [as_vector(seq.term(m), space.dim) for m in range(1, horizon + 1)]
+    points = seq.prefix(horizon, space.dim)
     diam, d = [0.0] * (horizon - 1), 0.0
     if space.dim == 1:
         # the farthest later term is the largest or the smallest one
-        hi = lo = terms[-1][0]
+        xs = points[:, 0].tolist()
+        hi = lo = xs[-1]
         for i in range(horizon - 2, -1, -1):
-            x = terms[i][0]
+            x = xs[i]
             d = diam[i] = max(d, hi - x, x - lo)
             hi, lo = max(hi, x), min(lo, x)
     else:
@@ -202,7 +218,6 @@ def cauchy_probe(
         # component, so norms reduce over the short axis), and
         # ``space.magnitudes`` settles the differences to them exactly
         order = {"l1": 1, "l2": 2, "linf": np.inf}[space.base_norm]
-        points = np.array(terms)
         _, first, ids = np.unique(points, axis=0, return_index=True, return_inverse=True)
         columns = np.ascontiguousarray(points.T)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -337,6 +352,7 @@ def linearly_independent(vectors, tol: float = 1e-12) -> bool:
     return rank == n
 
 
+@functools.cache  # drawn once per (n, count, seed) and process: a draw takes milliseconds in n = 3
 def default_coeff_samples(n: int, count: int = 200, seed: int = 0) -> tuple[tuple[float, ...], ...]:
     """Coefficient vectors on the unit l1 sphere: a deterministic edge grid
     for n = 2, random simplex points with sign patterns otherwise."""
@@ -387,24 +403,28 @@ def find_comparison_constant(
     monotone in c because the field norm shrinks as its argument grows;
     c is found by doubling then bisection from 1e-12.  A search failure
     is not a refutation of the comparison inequality's existence.  The
-    combinations sum_j beta_j p_j are one left fold over the basis on
-    arrays (``sum`` compensates from Python 3.12 on).
+    basis and the samples (by default ``default_coeff_samples``, drawn
+    once per process) are each read as one array by ``as_vectors``, and
+    the combinations sum_j beta_j p_j are one left fold over the basis
+    (``sum`` compensates from Python 3.12 on).
     """
-    basis = [as_vector(b, space.dim) for b in basis]
+    basis = as_vectors(basis, space.dim)
     if not linearly_independent(basis):
         raise ValueError("basis vectors must be linearly independent")
     if field_space.dim != 1:
         raise ValueError("field norm must be one-dimensional")
-    if coeff_samples is None:
-        coeff_samples = default_coeff_samples(len(basis))
-    betas = [tuple(map(float, beta)) for beta in coeff_samples]
-    if not betas:
+    coeffs = default_coeff_samples(len(basis)) if coeff_samples is None else tuple(coeff_samples)
+    if not coeffs:
         raise ValueError("coefficient samples must be nonempty")
-    if any(len(beta) != len(basis) for beta in betas):
-        raise ValueError(f"every coefficient vector needs {len(basis)} entries, one per basis vector")
+    try:
+        betas = as_vectors(coeffs, len(basis))
+    except ValueError:
+        if any(len(beta) != len(basis) for beta in coeffs):
+            raise ValueError(f"every coefficient vector needs {len(basis)} entries, one per basis vector") from None
+        raise
     combos = np.zeros((len(betas), space.dim))
     with np.errstate(over="ignore", invalid="ignore"):  # combinations past the largest float, as on tuples
-        for beta, p in zip(np.array(betas).T, np.array(basis)):
+        for beta, p in zip(betas.T, basis):
             combos += beta[:, None] * p
     lhs = space.norm_at_magnitude(min(space.magnitudes(combos).tolist()))
     # c > 0 is the magnitude of (c,) under every base norm

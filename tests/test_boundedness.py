@@ -257,11 +257,31 @@ def test_witness_verification_fails_for_a_bound_above_a_member(monkeypatch):
     members = finite_set([0.0, 1.0, -2.0])
     for family in ("E19", "E12", "E25"):
         space = make_space(family)
-        monkeypatch.setattr(boundedness, "classify_set", lambda s, a, tol: RadiusReport(EPS0, CERTAINLY_BOUNDED, 0.0, 1.0))
+        monkeypatch.setattr(boundedness, "_classified", lambda radius, tol: RadiusReport(EPS0, CERTAINLY_BOUNDED, 0.0, 1.0))
         wit = dbounded_witness(space, members)
         monkeypatch.undo()
         assert wit.found and not wit.verified and wit.checked == 3
         assert not all(compare_leq(EPS0, space.norm_of(p)).holds for p in members.vectors)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7976931348623157e308, 1.7976931348623157e308), (-1e308, 9e307)])
+def test_an_interval_wider_than_the_largest_float_is_sampled_without_overflow(lo, hi):
+    # hi - lo overflows, so np.linspace would give NaN and inf samples
+    aset = interval_rationals(lo, hi)
+    xs = aset.members(1)[:, 0]
+    assert xs[0] == lo and xs[-1] == hi and np.all(np.diff(xs) > 0.0)
+    for family in FAMILIES:
+        space = make_space(family)
+        rep, wit = classify_set(space, aset), dbounded_witness(space, aset)
+        assert wit.found == rep.d_bounded and wit.verified == rep.d_bounded, family
+        assert wit.g == (rep.radius if rep.d_bounded else None)
+        assert wit.checked == (len(xs) if rep.d_bounded else 0)
+
+
+def test_an_interval_of_float_width_keeps_the_linspace_samples():
+    for lo, hi, n in ((-2.0, 5.0, 101), (0.1, 0.7, 3), (-1e308, 7e307, 200), (1.0, 1.0 + 2.0**-40, 9)):
+        assert interval_rationals(lo, hi, n).members(1).tobytes() == np.linspace(lo, hi, n)[:, None].tobytes()
 
 
 def test_witness_for_zero_singleton_is_maximal():

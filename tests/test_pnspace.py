@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pncalc import pnspace
+from pncalc import boundedness, pnspace, topology
 from pncalc.boundedness import classify_set, convergent_set_bound, dbounded_witness, finite_set, interval_rationals
 from pncalc.distfn import EPS0, Plateau, Ratio, compare_leq, distfn_equal, eps
 from pncalc.pnspace import (
@@ -24,6 +24,7 @@ from pncalc.pnspace import (
     ScalingViolation,
     _FAMILIES,
     as_vector,
+    as_vectors,
     axiom_suite,
     default_samples,
     is_zero,
@@ -471,6 +472,42 @@ def test_magnitude_checks_the_length_of_its_vector():
         space.magnitude((1.0, 2.0, 3.0))
 
 
+def _one_at_a_time(ps, dim):
+    return np.array([as_vector(p, dim) for p in ps], dtype=float).reshape(-1, dim)
+
+
+def test_as_vectors_equals_as_vector_bit_for_bit():
+    rng = np.random.default_rng(31)
+    special = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 3, -2, True]
+    for _ in range(300):
+        dim, n = int(rng.integers(1, 4)), int(rng.integers(0, 12))
+        pick = lambda: special[rng.integers(len(special))] if rng.random() < 0.4 else float(rng.normal() * 10.0)
+        ps = [tuple(pick() for _ in range(dim)) for _ in range(n)]
+        if dim == 1 and rng.random() < 0.5:  # scalars, and scalars among tuples
+            ps = [p[0] if rng.random() < 0.7 else p for p in ps]
+        got, want = as_vectors(ps, dim), _one_at_a_time(ps, dim)
+        assert got.dtype == want.dtype and got.shape == want.shape == (n, dim)
+        assert got.tobytes() == want.tobytes(), ps
+        assert as_vectors(np.array(want), dim).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ps", [
+    [(1.0, 2.0), (3.0, 4.0, 5.0)],  # a ragged list
+    [(1.0, 2.0, 3.0)],  # a wrong length
+    [1.0, 2.0],  # scalars in dim 2
+    [(1.0, 2.0), 3.0],  # a scalar among tuples
+    [(1.0, None)],  # None as a component, which numpy's float dtype would read as NaN
+    [None],  # None as a vector
+    [(1.0, 2.0), None],
+    [(1.0, "x")],
+])
+def test_as_vectors_raises_what_as_vector_raises(ps):
+    with pytest.raises(Exception) as want:
+        _one_at_a_time(ps, 2)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        as_vectors(ps, 2)
+
+
 def test_no_battery_or_probe_reads_one_vector_at_a_time(monkeypatch):
     # every battery and probe reads its vectors through one ``magnitudes``
     # call, so the scalar reader, which ``norm_of`` goes through, is never called
@@ -490,6 +527,38 @@ def test_no_battery_or_probe_reads_one_vector_at_a_time(monkeypatch):
     assert convergent_set_bound(make_space("E25"), SequenceSpec("harmonic"), 0.0, lam=0.5).verified
     assert not axiom_suite(make_space("E19", tau="max", tau_star="max")).n3.ok
     assert calls == []
+
+
+def test_no_set_probe_or_constant_reads_one_member_or_term_at_a_time(monkeypatch):
+    # 200 members, 512 terms and 200 coefficient vectors are each read as
+    # one array: ``as_vector`` reads a target or a generator image's first
+    # term, which ``term`` gives
+    calls = []
+    for module in (pnspace, topology, boundedness):
+        monkeypatch.setattr(module, "as_vector", lambda p, dim: calls.append("as_vector") or as_vector(p, dim))
+    term = SequenceSpec.term
+    monkeypatch.setattr(SequenceSpec, "term", lambda self, m: calls.append("term") or term(self, m))
+    e9, plane = make_space("E9"), parse_space("E19:l2,dim=2")
+    line = finite_set([(float(m) - 100.0,) for m in range(200)])
+    points = finite_set([(math.cos(m) * m, math.sin(m)) for m in range(200)])
+    image = boundedness.sequence_image(SequenceSpec("harmonic"), horizon=512)
+    ops = {
+        "classify": lambda: [classify_set(e9, line), classify_set(plane, points)],
+        "witness": lambda: [dbounded_witness(e9, line).checked, dbounded_witness(plane, points).checked,
+                            dbounded_witness(e9, image).checked],
+        "convergence": lambda: [convergence_probe(sp, SequenceSpec(kind, sp.zero[:-1] + (1.0,)), sp.zero, horizon=512)
+                                for sp in (e9, plane) for kind in ("harmonic", "geometric_decay")],
+        "cauchy": lambda: [cauchy_probe(sp, SequenceSpec("harmonic", sp.zero[:-1] + (1.0,)), horizon=512)
+                           for sp in (e9, plane)],
+        "find_c": lambda: find_comparison_constant(parse_space("E19:l2,dim=3"),
+                                                   [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)], make_space("E19")),
+    }
+    reads = {}
+    for name, op in ops.items():
+        calls.clear()
+        op()
+        reads[name] = sorted(calls)
+    assert reads == {"classify": [], "witness": ["as_vector", "term"], "convergence": ["as_vector"] * 4, "cauchy": [], "find_c": []}
 
 
 def test_the_axiom_battery_at_the_dimension_bound_holds_in_bounded_memory():

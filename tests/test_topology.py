@@ -1,7 +1,10 @@
 """Strong-topology probes: neighborhoods, convergence and Cauchy verdicts,
 completeness, equivalence batteries, and the comparison constant."""
 
+import functools
 import math
+import operator
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +170,29 @@ def test_one_term_sequence_is_cauchy_like_its_repetition():
 
 # ------------------------------------------------------------ reference scans
 
+def _magnitude(space, p):
+    """The base norm of the tuple p, folded over its components left to
+    right as ``PNSpace.magnitudes`` folds its columns (a later |c| wins
+    the max only when greater, as numpy's ``copyto`` keeps it there)."""
+    if space.dim == 1 or space.base_norm == "linf":
+        return max(map(abs, p))
+    if space.base_norm == "l1":
+        return functools.reduce(operator.add, map(abs, p))
+    return math.hypot(*p)
+
+
+def _margins(space, lambdas):
+    """The membership margins nu(lambda) - (1 - lambda) at every lambda of
+    the norm at a magnitude, memoized by magnitude."""
+
+    @functools.cache
+    def margins(m):
+        f = space.norm_at_magnitude(m)
+        return [f.eval(lam) - (1.0 - lam) for lam in lambdas]
+
+    return margins
+
+
 def _scan_convergence(space, seq, target, lambdas=DEFAULT_LAMBDAS, horizon=DEFAULT_HORIZON):
     """The per-term scan: the norm of every term's distance to the target
     is read at every lambda."""
@@ -174,10 +200,11 @@ def _scan_convergence(space, seq, target, lambdas=DEFAULT_LAMBDAS, horizon=DEFAU
     target = as_vector(target, space.dim)
     if seq.kind == "explicit":
         horizon = min(horizon, len(seq.terms))
-    diffs = [space.norm_of(vec_sub(seq.term(m), target)) for m in range(1, horizon + 1)]
+    margins_at = _margins(space, lambdas)
+    diffs = [margins_at(_magnitude(space, vec_sub(seq.term(m), target))) for m in range(1, horizon + 1)]
     verdicts = []
-    for lam in lambdas:
-        margins = [f.eval(lam) - (1.0 - lam) for f in diffs]
+    for k, lam in enumerate(lambdas):
+        margins = [row[k] for row in diffs]
         worst = min(margins)
         last_bad = max((i for i, m in enumerate(margins) if m <= 0.0), default=-1)
         if last_bad == horizon - 1:
@@ -194,15 +221,14 @@ def _pair_scan_cauchy(space, seq, lambdas=DEFAULT_LAMBDAS, horizon=DEFAULT_HORIZ
     if seq.kind == "explicit":
         horizon = min(horizon, len(seq.terms))
     terms = [seq.term(m) for m in range(1, horizon + 1)]
-    # one pass over the pairs; each pair's norm is read at every lambda
-    # and then dropped, so memory stays O(horizon)
+    # one pass over the pairs; each pair's norm is read at every lambda,
+    # once per distinct magnitude, which the memo keeps
+    margins_at = _margins(space, lambdas)
     worst = [math.inf] * len(lambdas)
     needed = [0] * len(lambdas)
     for i in range(horizon):
         for j in range(i + 1, horizon):
-            f = space.norm_of(vec_sub(terms[j], terms[i]))
-            for k, lam in enumerate(lambdas):
-                margin = f.eval(lam) - (1.0 - lam)
+            for k, margin in enumerate(margins_at(_magnitude(space, vec_sub(terms[j], terms[i])))):
                 worst[k] = min(worst[k], margin)
                 if margin <= 0.0:
                     needed[k] = i + 1  # N must exclude index i+1 (1-based); i only grows
@@ -251,7 +277,7 @@ def _pair_scan_diameters(space, terms):
     """The tail diameters from one magnitude per pair of terms."""
     diam, d = [0.0] * (len(terms) - 1), 0.0
     for i in range(len(terms) - 2, -1, -1):
-        d = diam[i] = max(d, *(space.magnitude(vec_sub(terms[j], terms[i])) for j in range(i + 1, len(terms))))
+        d = diam[i] = max(d, *(_magnitude(space, vec_sub(terms[j], terms[i])) for j in range(i + 1, len(terms))))
     return diam
 
 
@@ -526,3 +552,44 @@ def test_parse_sequence():
     assert s2.terms == ((1.0, 0.0), (0.0, 1.0))
     with pytest.raises(ValueError):
         parse_sequence("fibonacci")
+
+
+_PREFIX_DIRECTIONS = {
+    1: [(1.0,), (-0.0,), (3.0,), (-1e308,), (math.inf,), (math.nan,), (7,)],
+    2: [(1.0, -2.0), (0.0, 1e308), (-0.0, 5e-324), (math.pi, -math.e)],
+    3: [(1.0, 0.5, -0.25), (1e-300, 1e300, -1.0)],
+}
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 64, 1023, 4096])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_prefix_rows_equal_the_terms(dim, horizon):
+    rng = np.random.default_rng(dim)
+    explicit = tuple(tuple(rng.normal(size=dim).tolist()) for _ in range(40))
+    sequences = [SequenceSpec("explicit", terms=explicit), SequenceSpec("explicit", terms=explicit[:1])]
+    for direction in _PREFIX_DIRECTIONS[dim]:
+        sequences += [SequenceSpec(kind, direction) for kind in ("harmonic", "geometric", "geometric_decay")]
+    for seq in sequences:
+        if seq.kind == "geometric" and horizon > 1023:
+            continue
+        want = np.array([seq.term(m) for m in range(1, horizon + 1)], dtype=float)
+        got = seq.prefix(horizon, dim)
+        assert got.shape == (horizon, dim) and got.tobytes() == want.tobytes(), (seq, horizon)
+
+
+def test_geometric_prefix_past_the_float_range_raises_what_the_term_raises():
+    with pytest.raises(ValueError) as want:
+        GEOMETRIC.term(1024)
+    for horizon in (1024, 4096):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            GEOMETRIC.prefix(horizon, 1)
+    assert GEOMETRIC.prefix(1023, 1)[-1, 0] == 2.0**1023
+
+
+def test_prefix_checks_every_term_it_reads_as_as_vector_does():
+    with pytest.raises(ValueError, match=re.escape("vector (1.0,) has length 1, expected 2")):
+        HARMONIC.prefix(4, 2)
+    with pytest.raises(ValueError, match="has length 1, expected 2"):
+        SequenceSpec("explicit", terms=((1.0, 0.0), (2.0,))).prefix(2, 2)
+    # terms past the horizon are not read, as before
+    assert SequenceSpec("explicit", terms=((1.0, 0.0), (2.0,))).prefix(1, 2).tolist() == [[1.0, 0.0]]
